@@ -11,7 +11,7 @@ import pytest
 
 from repro.mobility.contact import pairs_in_range
 from repro.mobility.random_waypoint import RandomWaypoint
-from repro.routing.chitchat import InterestTable
+from repro.routing.chitchat import InterestStore, KeywordIndex
 from repro.sim.engine import Engine
 
 
@@ -48,24 +48,17 @@ def test_contact_detection_500_nodes(benchmark):
 
 def test_chitchat_weight_exchange(benchmark):
     keywords = [f"kw{i:03d}" for i in range(200)]
-    mine = InterestTable(keywords[:20])
-    peer = InterestTable(keywords[10:30])
+    store = InterestStore(KeywordIndex())
+    mine = store.create_table(keywords[:20], created_at=0.0)
+    peer = store.create_table(keywords[10:30], created_at=0.0)
 
     def exchange():
         mine.decay(100.0, set(), beta=0.01)
-        mine.grow_from(peer, now=100.0, elapsed=60.0,
-                       growth_scale=0.01, elapsed_cap=600.0)
+        mine.grow_from_arrays(*peer.snapshot_arrays(), 100.0, 60.0,
+                              growth_scale=0.01, elapsed_cap=600.0)
         return mine.sum_for(keywords[:30])
 
     benchmark(exchange)
-
-
-def test_interest_decay_legacy_per_table(benchmark):
-    """256 per-node decay calls — the pre-fused-store hot path."""
-    from repro.experiments.bench import _bench_interest_decay_legacy
-
-    _name, run = _bench_interest_decay_legacy()
-    benchmark(run)
 
 
 def test_interest_decay_fused_store(benchmark):

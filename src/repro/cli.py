@@ -419,22 +419,9 @@ def _bench_scale(args: argparse.Namespace) -> int:
     )
     from repro.experiments.bench_scale import run_scale_suite
 
-    baseline_points = None
-    if args.baseline_points:
-        baseline_points = [
-            (float(pair.split(":")[0]), float(pair.split(":")[1]))
-            for pair in args.baseline_points
-        ]
     label = args.label or "scale"
     with _maybe_profile(args, label):
-        report = run_scale_suite(
-            tiers=args.tiers,
-            audit=args.audit,
-            baseline_points=baseline_points,
-            baseline_label=args.baseline_label,
-            detect_regions=args.regions,
-            detect_workers=args.detect_workers,
-        )
+        report = run_scale_suite(tiers=args.tiers, audit=args.audit)
     rows = [
         [name,
          f"{probe['wall_seconds']:.1f}",
@@ -799,24 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--audit", action="store_true",
         help="scale suite: re-run the first tier with a JSONL trace "
              "and replay the conservation auditor",
-    )
-    bench.add_argument(
-        "--regions", type=int, default=1, metavar="N",
-        help="scale suite: spatial shard count for contact detection",
-    )
-    bench.add_argument(
-        "--detect-workers", type=int, default=1, metavar="N",
-        help="scale suite: worker processes for sharded detection",
-    )
-    bench.add_argument(
-        "--baseline-points", nargs="+", default=None, metavar="N:WALL",
-        help="scale suite: measured object-core (n_nodes, wall_seconds) "
-             "pairs, e.g. 500:28.2 1000:59.0, for the power-law "
-             "baseline extrapolation recorded in the report",
-    )
-    bench.add_argument(
-        "--baseline-label", default=None, metavar="TEXT",
-        help="scale suite: provenance note for --baseline-points",
     )
     bench.add_argument(
         "--min-speedup", type=float, default=None, metavar="X",

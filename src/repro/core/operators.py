@@ -71,8 +71,7 @@ class Operators:
     # -- Function 2: Subscribe -----------------------------------------
     def subscribe(self, node_id: int, interests: Sequence[str]) -> None:
         """Add direct keyword subscriptions for a user."""
-        node = self._world.node(node_id)
-        node.interests = frozenset(node.interests) | frozenset(interests)
+        self._world.subscribe(node_id, interests)
         table = self._protocol.table(node_id)
         for keyword in interests:
             table.add_direct(keyword, self._world.now)
@@ -92,8 +91,8 @@ class Operators:
         """Run the ChitChat growth phase against a peer's table."""
         table = self._protocol.table(node_id)
         peer_table = self._protocol.table(peer_id)
-        table.grow_from(
-            peer_table, self._world.now, elapsed,
+        table.grow_from_arrays(
+            *peer_table.snapshot_arrays(), self._world.now, elapsed,
             growth_scale=self._protocol.growth_scale,
             elapsed_cap=self._protocol.growth_elapsed_cap,
         )
@@ -185,10 +184,7 @@ class Operators:
         Returns ``(node_ids, keywords, weights)`` where
         ``weights[i, j]`` is node ``node_ids[i]``'s ChitChat weight for
         ``keywords[j]`` (0.0 for keywords the node holds no record of).
-        Over the fused interest store (``SoAWorld``) this is a single
-        row gather from the shared 2-D array; over per-node tables it
-        is a scalar walk producing the same floats — absent rows hold
-        exactly 0.0 in both backends.
+        Absent keywords hold exactly 0.0 in every table row.
         """
         node_ids = self._world.node_ids()
         # Materialise every table first: creation interns the node's

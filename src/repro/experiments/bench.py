@@ -217,30 +217,12 @@ def _bench_engine_cancel_churn() -> Tuple[str, Callable[[], object]]:
     return "engine_cancel_churn_10k", run
 
 
-def _bench_chitchat_exchange() -> Tuple[str, Callable[[], object]]:
-    from repro.routing.chitchat import InterestTable
-
-    keywords = [f"kw{i:03d}" for i in range(200)]
-
-    def run() -> float:
-        mine = InterestTable(keywords[:20])
-        peer = InterestTable(keywords[10:30])
-        for step in range(20):
-            now = 100.0 * (step + 1)
-            mine.decay(now, set(), beta=0.01)
-            mine.grow_from(peer, now=now, elapsed=60.0,
-                           growth_scale=0.01, elapsed_cap=600.0)
-        return mine.sum_for(keywords[:30])
-
-    return "chitchat_exchange_x20", run
-
-
 def _batched_interest_setup():
-    """Shared workload for the fused-vs-legacy decay pair.
+    """Workload for the fused-store decay benchmark.
 
     256 nodes, 8 direct keywords each over a 64-keyword universe — the
-    paper's shape: tables are small, so per-table ufunc *dispatch* (not
-    arithmetic) is what the per-node loop pays for.  Direct-only so
+    paper's shape: tables are small, so one vectorised call over every
+    row replaces per-table ufunc dispatch.  Direct-only so
     weights sit at the 0.5 fixed point and every round performs an
     identical amount of work (the decay arithmetic still runs in full;
     nothing prunes).
@@ -252,28 +234,6 @@ def _batched_interest_setup():
         for _ in range(256)
     ]
     return universe, interests
-
-
-def _bench_interest_decay_legacy() -> Tuple[str, Callable[[], object]]:
-    """Per-node table decay: 256 small-array calls per round."""
-    from repro.routing.chitchat import InterestTable, KeywordIndex
-
-    universe, interests = _batched_interest_setup()
-    index = KeywordIndex(universe.tolist())
-    tables = [
-        InterestTable(direct, index=index) for direct in interests
-    ]
-    state = {"now": 0.0}
-
-    def run() -> float:
-        state["now"] += 100.0
-        now = state["now"]
-        connected: set = set()
-        for table in tables:
-            table.decay(now, connected, beta=0.01)
-        return now
-
-    return "interest_decay_legacy_256x8", run
 
 
 def _bench_interest_decay_fused() -> Tuple[str, Callable[[], object]]:
@@ -379,8 +339,6 @@ MICROBENCHMARKS: Tuple[Tuple[Callable[[], Tuple[str, Callable[[], object]]],
     (_bench_detector_scan_500, 10, 3),
     (_bench_engine_throughput, 10, 3),
     (_bench_engine_cancel_churn, 10, 3),
-    (_bench_chitchat_exchange, 10, 3),
-    (_bench_interest_decay_legacy, 20, 5),
     (_bench_interest_decay_fused, 20, 5),
     (_bench_gossip_merge_legacy, 30, 10),
     (_bench_gossip_merge_fused, 30, 10),

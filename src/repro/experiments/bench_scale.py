@@ -12,8 +12,8 @@ Tiers
 -----
 ``1k``
     1,000 nodes, ten simulated minutes — the CI smoke tier: cheap
-    enough to run per PR with ``--audit``, gating the batched SoA
-    contact path on a clean conservation replay.
+    enough to run per PR with ``--audit``, gating the batched contact
+    path on a clean conservation replay.
 ``10k``
     10,000 nodes, one simulated hour — the PR-gating tier.  Also the
     tier the conservation audit replays (``--audit``): the run is
@@ -25,29 +25,15 @@ Tiers
     world core.
 ``1m``
     1,000,000 nodes, one simulated minute — opt-in smoke proving the
-    SoA arrays and sharded detection survive seven figures.  Expect
-    minutes of wall clock and several GB of RSS.
-
-Baseline extrapolation
-----------------------
-The acceptance claim ("throughput-per-node vs the object-core
-baseline") needs an object-core wall time at 10k nodes, but the legacy
-per-object core is too slow to measure there directly.  Instead,
-measured object-core points at feasible populations are fitted with a
-power law ``wall = c * n**k`` (least squares in log space) and
-evaluated at the target population.  :func:`fit_power_law` and
-:func:`extrapolate` implement this; the committed ``BENCH_scale.json``
-records the measured points, the fit, and the resulting improvement
-factor so the claim is auditable.
+    array-backed world survives seven figures.  Expect minutes of wall
+    clock and several GB of RSS.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.bench import SCHEMA_VERSION, machine_info
@@ -56,8 +42,6 @@ __all__ = [
     "SCALE_TIERS",
     "scale_config",
     "scale_probe",
-    "fit_power_law",
-    "extrapolate",
     "run_scale_suite",
 ]
 
@@ -73,14 +57,7 @@ SCALE_TIERS: Dict[str, Tuple[int, float, str]] = {
 }
 
 
-def scale_config(
-    n_nodes: int,
-    duration: float,
-    *,
-    world_core: str = "soa",
-    detect_regions: int = 1,
-    detect_workers: int = 1,
-):
+def scale_config(n_nodes: int, duration: float):
     """Table 5.1 physics at ``n_nodes``, density held at the paper's.
 
     The arena grows with the population (10,000 m² per node), keeping
@@ -96,9 +73,6 @@ def scale_config(
         area=(side, side),
         duration=duration,
         ttl=duration,
-        world_core=world_core,
-        detect_regions=detect_regions,
-        detect_workers=detect_workers,
     )
 
 
@@ -108,9 +82,6 @@ def scale_probe(
     *,
     scheme: str = "incentive",
     seed: int = 1,
-    world_core: str = "soa",
-    detect_regions: int = 1,
-    detect_workers: int = 1,
     trace_path: Optional[str] = None,
 ) -> Dict[str, float]:
     """Time one full run; return wall clock and throughput numbers.
@@ -126,12 +97,7 @@ def scale_probe(
     from repro.experiments import trace_cache
     from repro.experiments.runner import run_scenario
 
-    config = scale_config(
-        n_nodes, duration,
-        world_core=world_core,
-        detect_regions=detect_regions,
-        detect_workers=detect_workers,
-    )
+    config = scale_config(n_nodes, duration)
     previous = trace_cache.get_default_cache()
     trace_cache.set_default_cache(None)
     try:
@@ -151,46 +117,10 @@ def scale_probe(
     }
 
 
-def fit_power_law(
-    points: Sequence[Tuple[float, float]]
-) -> Tuple[float, float]:
-    """Least-squares fit of ``wall = c * n**k`` in log space.
-
-    Args:
-        points: ``(n_nodes, wall_seconds)`` measurements (>= 2, all
-            positive).
-
-    Returns:
-        ``(c, k)``.
-    """
-    if len(points) < 2:
-        raise ConfigurationError(
-            f"power-law fit needs >= 2 points, got {len(points)}"
-        )
-    n = np.asarray([p[0] for p in points], dtype=np.float64)
-    wall = np.asarray([p[1] for p in points], dtype=np.float64)
-    if np.any(n <= 0) or np.any(wall <= 0):
-        raise ConfigurationError("fit points must be positive")
-    k, log_c = np.polyfit(np.log(n), np.log(wall), 1)
-    return float(np.exp(log_c)), float(k)
-
-
-def extrapolate(
-    points: Sequence[Tuple[float, float]], n_nodes: float
-) -> float:
-    """Predicted wall seconds at ``n_nodes`` from the power-law fit."""
-    c, k = fit_power_law(points)
-    return c * float(n_nodes) ** k
-
-
 def run_scale_suite(
     *,
     tiers: Sequence[str] = ("10k",),
     audit: bool = False,
-    baseline_points: Optional[Sequence[Tuple[float, float]]] = None,
-    baseline_label: Optional[str] = None,
-    detect_regions: int = 1,
-    detect_workers: int = 1,
     audit_dir: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run the requested tiers and build the ``BENCH_scale.json`` dict.
@@ -201,19 +131,12 @@ def run_scale_suite(
         audit: Re-run the first tier with a JSONL trace and replay it
             through the conservation auditor; the verdict lands in the
             report's ``audit`` block.
-        baseline_points: ``(n_nodes, wall_seconds)`` measurements of
-            the object-core baseline; when given, the report's
-            ``baseline`` block records them plus the power-law
-            extrapolation to each tier and the throughput-improvement
-            factor.
-        baseline_label: Short provenance note for the baseline points
-            (e.g. the commit they were measured at).
-        detect_regions / detect_workers: Spatial sharding for every
-            probe (1/1 = classic single-sweep detection).
+        audit_dir: Keep the audit trace in this directory (a deleted
+            scratch directory when ``None``).
 
     Returns:
-        A report dict in the micro suite's schema plus ``scale``,
-        ``audit`` and ``baseline`` blocks.
+        A report dict in the micro suite's schema plus ``scale`` and
+        ``audit`` blocks.
     """
     unknown = [t for t in tiers if t not in SCALE_TIERS]
     if unknown:
@@ -228,11 +151,7 @@ def run_scale_suite(
     scale: Dict[str, Dict[str, float]] = {}
     for tier in tiers:
         n_nodes, duration, name = SCALE_TIERS[tier]
-        probe = scale_probe(
-            n_nodes, duration,
-            detect_regions=detect_regions,
-            detect_workers=detect_workers,
-        )
+        probe = scale_probe(n_nodes, duration)
         benchmarks[name] = {
             "mean": probe["wall_seconds"],
             "stddev": 0.0,
@@ -250,46 +169,12 @@ def run_scale_suite(
     }
 
     if audit:
-        report["audit"] = _run_audit_tier(
-            tiers[0],
-            detect_regions=detect_regions,
-            detect_workers=detect_workers,
-            audit_dir=audit_dir,
-        )
-
-    if baseline_points:
-        points = [(float(n), float(w)) for n, w in baseline_points]
-        c, k = fit_power_law(points)
-        baseline: Dict[str, object] = {
-            "core": "object",
-            "label": baseline_label or "measured object-core points",
-            "points": [
-                {"n_nodes": n, "wall_seconds": w} for n, w in points
-            ],
-            "fit": {"c": c, "k": k, "model": "wall = c * n**k"},
-            "extrapolated": {},
-        }
-        for tier in tiers:
-            n_nodes, duration, name = SCALE_TIERS[tier]
-            predicted = extrapolate(points, n_nodes)
-            # Baseline points are 1h runs; rescale linearly in
-            # simulated time for shorter tiers.
-            predicted *= duration / 3_600.0
-            entry = {
-                "wall_seconds": predicted,
-                "improvement": predicted / scale[name]["wall_seconds"],
-            }
-            baseline["extrapolated"][name] = entry
-        report["baseline"] = baseline
+        report["audit"] = _run_audit_tier(tiers[0], audit_dir=audit_dir)
     return report
 
 
 def _run_audit_tier(
-    tier: str,
-    *,
-    detect_regions: int,
-    detect_workers: int,
-    audit_dir: Optional[str],
+    tier: str, *, audit_dir: Optional[str]
 ) -> Dict[str, object]:
     """Trace the tier's run and replay the conservation auditor."""
     import os
@@ -300,12 +185,7 @@ def _run_audit_tier(
     n_nodes, duration, name = SCALE_TIERS[tier]
     directory = audit_dir or tempfile.mkdtemp(prefix="bench_scale_audit_")
     trace_path = os.path.join(directory, f"{name}.jsonl")
-    probe = scale_probe(
-        n_nodes, duration,
-        detect_regions=detect_regions,
-        detect_workers=detect_workers,
-        trace_path=trace_path,
-    )
+    probe = scale_probe(n_nodes, duration, trace_path=trace_path)
     audit_report = replay_trace(trace_path)
     verdict: Dict[str, object] = {
         "tier": name,

@@ -111,23 +111,6 @@ class ScenarioConfig:
     #: disables tracing; results are bit-identical either way.
     trace_path: Optional[str] = None
 
-    # World core
-    #: Which world implementation runs the scenario: ``"soa"`` (the
-    #: struct-of-arrays core, default) or ``"object"`` (the legacy
-    #: per-node-dict core).  The two are bit-identical by contract
-    #: (``tests/test_world_soa_differential.py``); the SoA core is the
-    #: one that scales.  Excluded from mobility/trace-cache keys.
-    world_core: str = "soa"
-    #: Spatial shard count for contact detection (>= 1).  ``1`` uses
-    #: the classic single-sweep detector; higher values shard the arena
-    #: into vertical strips (see :mod:`repro.mobility.regions`) with
-    #: bit-identical results.  Excluded from trace-cache keys for the
-    #: same reason.
-    detect_regions: int = 1
-    #: Worker processes for sharded detection (>= 1; only meaningful
-    #: with ``detect_regions > 1``).
-    detect_workers: int = 1
-
     # Scheme
     #: Pin the scenario to one registered scheme;
     #: :func:`~repro.experiments.runner.run_scenario` uses it when no
@@ -199,15 +182,6 @@ class ScenarioConfig:
         if self.max_retransmissions < 0:
             raise ConfigurationError("max_retransmissions must be >= 0")
         validate_population(self.population)
-        if self.world_core not in ("soa", "object"):
-            raise ConfigurationError(
-                f"world_core must be 'soa' or 'object', got "
-                f"{self.world_core!r}"
-            )
-        if self.detect_regions < 1:
-            raise ConfigurationError("detect_regions must be >= 1")
-        if self.detect_workers < 1:
-            raise ConfigurationError("detect_workers must be >= 1")
         if self.retransmit_backoff <= 0:
             raise ConfigurationError("retransmit_backoff must be > 0")
         if self.scheme is not None:

@@ -27,12 +27,10 @@ from repro.metrics.analysis import merge_summaries
 from repro.metrics.collector import MetricsCollector
 from repro.mobility.composite import make_population_model
 from repro.mobility.contact import detect_contacts
-from repro.mobility.regions import detect_contacts_sharded
 from repro.mobility.trace import ContactTrace
 from repro.network.buffer import DropPolicy
 from repro.network.node import Node
 from repro.network.world import World
-from repro.network.world_soa import SoAWorld
 from repro.population import PopulationMap
 from repro.routing.base import Router
 from repro.schemes import resolve_scheme, scheme_names
@@ -185,11 +183,7 @@ def build_contact_trace(
     resolved = config.resolved_population()
     if len(resolved) > 1:
         # Heterogeneous population: per-class mobility sub-models on
-        # dedicated streams, detection under per-node radii.  Spatial
-        # sharding (detect_regions > 1) is deliberately bypassed here:
-        # the strip/halo proof in repro.mobility.regions assumes one
-        # uniform radius, and sharding is purely a perf knob — results
-        # are defined by this single-sweep path (see DESIGN.md §11).
+        # dedicated streams, detection under per-node radii.
         streams = RandomStreams(seed)
         population = PopulationMap.build(config, streams)
         model = make_population_model(config, streams, population)
@@ -199,24 +193,6 @@ def build_contact_trace(
             duration=config.duration,
             scan_interval=config.scan_interval,
             radii=population.radii,
-        )
-    elif config.detect_regions > 1:
-        # Spatially sharded sweep — bit-identical to the classic path
-        # (tests/test_regions.py); worth it from ~10k nodes up.
-        cls0 = resolved[0]
-        trace = detect_contacts_sharded(
-            kind=cls0.mobility,
-            n_nodes=config.n_nodes,
-            area=config.area,
-            seed=seed,
-            radius=cls0.transmission_radius,
-            duration=config.duration,
-            scan_interval=config.scan_interval,
-            speed_range=cls0.speed_range,
-            pause_range=cls0.pause_range,
-            manhattan_block=config.manhattan_block,
-            regions=config.detect_regions,
-            workers=config.detect_workers,
         )
     else:
         cls0 = resolved[0]
@@ -398,14 +374,13 @@ def run_scenario(
         )
         router = spec.builder(config, universe)
         engine = Engine()
-        world_cls = SoAWorld if config.world_core == "soa" else World
         # Single-class scalars come from the resolved class (identical
         # to the config scalars unless the one class carries overrides);
         # heterogeneous worlds read the per-node arrays instead and the
         # scalars are only fallbacks.
         cls0 = population.classes[0]
         hetero = population.heterogeneous
-        world = world_cls(
+        world = World(
             engine,
             nodes,
             router,

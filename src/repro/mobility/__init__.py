@@ -10,6 +10,7 @@ consumes.
 from repro.mobility.base import MobilityModel
 from repro.mobility.composite import (
     CompositePopulationModel,
+    make_model,
     make_population_model,
 )
 from repro.mobility.contact import ContactDetector, detect_contacts, hetero_pairs
@@ -17,11 +18,6 @@ from repro.mobility.manhattan import ManhattanGrid
 from repro.mobility.one_trace import load_one_trace, save_one_trace
 from repro.mobility.random_walk import RandomWalk
 from repro.mobility.random_waypoint import RandomWaypoint
-from repro.mobility.regions import (
-    RegionGrid,
-    detect_contacts_sharded,
-    make_model,
-)
 from repro.mobility.stationary import Stationary
 from repro.mobility.trace import Contact, ContactTrace
 
@@ -35,9 +31,7 @@ __all__ = [
     "ContactTrace",
     "ContactDetector",
     "CompositePopulationModel",
-    "RegionGrid",
     "detect_contacts",
-    "detect_contacts_sharded",
     "hetero_pairs",
     "make_model",
     "make_population_model",

@@ -8,7 +8,7 @@ homogeneous interface.
 
 Stream discipline: a single-class population never reaches this module
 — :func:`make_population_model` falls through to the legacy
-:func:`~repro.mobility.regions.make_model` on the shared ``"mobility"``
+:func:`make_model` on the shared ``"mobility"``
 stream, keeping legacy runs bit-identical.  With several classes, each
 sub-model draws only from its class's stream, so editing one class's
 mobility leaves every other class's trajectory untouched (the
@@ -21,10 +21,47 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import MobilityError
 from repro.mobility.base import MobilityModel
-from repro.mobility.regions import make_model
+from repro.mobility.manhattan import ManhattanGrid
+from repro.mobility.random_walk import RandomWalk
+from repro.mobility.random_waypoint import RandomWaypoint
+from repro.mobility.stationary import Stationary
 
-__all__ = ["CompositePopulationModel", "make_population_model"]
+__all__ = ["CompositePopulationModel", "make_model", "make_population_model"]
+
+
+def make_model(
+    kind: str,
+    n_nodes: int,
+    area: Tuple[float, float],
+    rng: np.random.Generator,
+    *,
+    speed_range: Tuple[float, float] = (0.5, 1.5),
+    pause_range: Tuple[float, float] = (0.0, 120.0),
+    manhattan_block: float = 100.0,
+) -> MobilityModel:
+    """Build a mobility model by name (the runner's factory)."""
+    if kind == "random-waypoint":
+        return RandomWaypoint(
+            n_nodes, area, rng,
+            speed_min=speed_range[0], speed_max=speed_range[1],
+            pause_min=pause_range[0], pause_max=pause_range[1],
+        )
+    if kind == "random-walk":
+        return RandomWalk(
+            n_nodes, area, rng,
+            speed_min=speed_range[0], speed_max=speed_range[1],
+        )
+    if kind == "manhattan":
+        return ManhattanGrid(
+            n_nodes, area, rng,
+            block_size=manhattan_block,
+            speed_min=speed_range[0], speed_max=speed_range[1],
+        )
+    if kind == "static":
+        return Stationary(n_nodes, area, rng)
+    raise MobilityError(f"unknown mobility model {kind!r}")
 
 
 class CompositePopulationModel(MobilityModel):

@@ -245,11 +245,9 @@ class ContactDetector:
     ) -> None:
         """Record pre-computed in-range pairs at ``time``.
 
-        The spatial-sharding path (:mod:`repro.mobility.regions`)
-        computes per-region pair arrays and feeds their concatenation
-        here; because the diff below operates on *sorted* packed keys,
-        any pair arrays describing the same pair set produce bit-
-        identical detector state regardless of how they were sharded.
+        The diff below operates on *sorted* packed keys, so any pair
+        arrays describing the same pair set produce bit-identical
+        detector state regardless of their order.
 
         Args:
             time: Sample time; must be strictly increasing across calls.

@@ -4,7 +4,7 @@ from repro.network.buffer import DropPolicy, MessageBuffer
 from repro.network.energy import EnergyModel
 from repro.network.link import Link, Transfer
 from repro.network.node import Node
-from repro.network.world_state import NodeStateView, WorldState
+from repro.network.world_state import WorldState
 
 __all__ = [
     "DropPolicy",
@@ -13,6 +13,5 @@ __all__ = [
     "Link",
     "Transfer",
     "Node",
-    "NodeStateView",
     "WorldState",
 ]

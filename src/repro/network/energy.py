@@ -20,7 +20,7 @@ the (distance-dependent) received power ``P_r * t``.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.errors import ConfigurationError
 
@@ -68,10 +68,8 @@ class EnergyModel:
         self._p_t = float(transmit_power)
         self._wavelength = SPEED_OF_LIGHT / float(frequency_hz)
         self._ref = float(reference_distance)
-        self._consumed: Dict[int, float] = {}
-        #: Optional :class:`~repro.network.world_state.WorldState`
-        #: backing the consumption counters (SoA core); ``None`` keeps
-        #: the per-node dict (object core).
+        #: The :class:`~repro.network.world_state.WorldState` holding
+        #: the consumption counters (see :meth:`attach`).
         self._state: Optional[Any] = None
 
     @property
@@ -114,41 +112,41 @@ class EnergyModel:
             raise ConfigurationError(f"duration must be >= 0, got {duration!r}")
         return self.received_power(distance) * duration
 
-    def bind_state(self, state: Any) -> None:
-        """Back the consumption counters with ``WorldState.energy``.
+    def attach(self, state: Any) -> None:
+        """Keep the consumption counters in ``state.energy``.
 
-        Any joules already accumulated in the per-node dict are migrated
-        into the array and the dict is retired.  Per-node additions hit
-        the same float sequence either way (one scalar ``+=`` per
-        charge), so rebinding never perturbs the energy trajectory —
-        the accumulation-order contract the differential tests pin.
+        ``state`` is the world's
+        :class:`~repro.network.world_state.WorldState`; the world
+        attaches it at construction.
         """
-        for node, joules in self._consumed.items():
-            state.energy[state.slot_of(node)] += joules
-        self._consumed.clear()
         self._state = state
 
     def charge(self, node: int, joules: float) -> None:
-        """Accumulate ``joules`` against ``node``'s consumption counter."""
+        """Accumulate ``joules`` against ``node``'s consumption counter.
+
+        Raises:
+            ConfigurationError: For negative joules, or before
+                :meth:`attach`.
+        """
         if joules < 0:
             raise ConfigurationError(f"joules must be >= 0, got {joules!r}")
-        if self._state is not None:
-            self._state.energy[self._state.slot_of(node)] += joules
-            return
-        self._consumed[node] = self._consumed.get(node, 0.0) + joules
+        state = self._state
+        if state is None:
+            raise ConfigurationError("energy model is not attached to a world")
+        state.energy[state.slot_of(node)] += joules
 
     def consumed(self, node: int) -> float:
         """Total joules charged to ``node`` so far."""
-        if self._state is not None:
-            try:
-                slot = self._state.slot_of(node)
-            except ConfigurationError:
-                return 0.0
-            return float(self._state.energy[slot])
-        return self._consumed.get(node, 0.0)
+        if self._state is None:
+            return 0.0
+        try:
+            slot = self._state.slot_of(node)
+        except ConfigurationError:
+            return 0.0
+        return float(self._state.energy[slot])
 
     def total_consumed(self) -> float:
         """Total joules charged across all nodes."""
-        if self._state is not None:
-            return float(self._state.energy.sum())
-        return sum(self._consumed.values())
+        if self._state is None:
+            return 0.0
+        return float(self._state.energy.sum())

@@ -53,13 +53,6 @@ class Node:
         self.interests: FrozenSet[str] = frozenset(interests)
         self.buffer = MessageBuffer(buffer_capacity, drop_policy)
         self.behavior = behavior
-        #: Struct-of-arrays handle (a
-        #: :class:`~repro.network.world_state.NodeStateView`) when this
-        #: node is part of an SoA world core; ``None`` under the object
-        #: core.  Scalar per-node state — position, energy, battery,
-        #: token-balance mirror — is read through it, so ``Node`` stays
-        #: a thin view over contiguous arrays rather than the storage.
-        self.state: Optional[Any] = None
 
         #: UUIDs of messages this node originated.
         self.generated: Set[str] = set()
@@ -121,22 +114,6 @@ class Node:
     def has_seen(self, uuid: str) -> bool:
         """Whether this node ever held or received the message."""
         return uuid in self.seen
-
-    # ------------------------------------------------------------------
-    # Struct-of-arrays binding
-    # ------------------------------------------------------------------
-    def bind_state(self, view: Any) -> None:
-        """Attach a ``NodeStateView`` over this node's array slot.
-
-        Raises:
-            ConfigurationError: If the view belongs to another node.
-        """
-        if view.node_id != self.node_id:
-            raise ConfigurationError(
-                f"state view for node {view.node_id} cannot back node "
-                f"{self.node_id}"
-            )
-        self.state = view
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -10,11 +10,36 @@ the :class:`~repro.metrics.collector.MetricsCollector`.
 Routers receive hooks (contact start/end, message received/aborted) and
 call back into :meth:`send_message`, :meth:`deliver` and
 :meth:`accept_relay`; see :class:`repro.routing.base.Router`.
+
+Per-node scalar state (radio energy, batteries) lives in one
+:class:`~repro.network.world_state.WorldState` of NumPy arrays, and the
+contact trace is loaded as **per-scan-tick batches**: one heap event
+per ``(time, up/down)`` tick instead of one per pair.  The batching is
+exact:
+
+* **Batch order.** ``ContactTrace.events()`` yields events sorted by
+  ``(time, down-before-up, pair)``, so all same-time same-kind events
+  are consecutive.  A tick's batch fires at priority 0 (down) / 1 (up)
+  and runs its pairs in trace order; runtime-scheduled events
+  (transfers, TTL sweeps, churn re-arms) always carry larger sequences
+  than every load-time event, so they never split a tick.
+* **RNG order.** Behaviour draws (``contact_enabled``) happen in the
+  per-pair admission check, in trace order, so the behaviour stream is
+  consumed exactly as a per-pair loop would.  Admission is deliberately
+  *not* vectorised for this reason.
+* **Float order.** Energy and battery updates stay one scalar operation
+  per (node, transfer) in event order — the arrays change the storage,
+  not the arithmetic.
+
+``tests/golden/trace_digests.json`` pins the resulting event trace
+record by record.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import BufferError_, ConfigurationError, SimulationError
 from repro.faults import FaultConfig, FaultInjector
@@ -25,6 +50,7 @@ from repro.mobility.trace import ContactTrace
 from repro.network.energy import EnergyModel
 from repro.network.link import Link, Transfer
 from repro.network.node import Node
+from repro.network.world_state import WorldState
 from repro.sim.engine import Engine
 from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RandomStreams
@@ -131,7 +157,8 @@ class World:
         self.nominal_distance = float(nominal_distance)
         self.battery_capacity = battery_capacity
         # Per-node class arrays (node ids are the runner's dense
-        # 0..n-1 range whenever a population is threaded through).
+        # 0..n-1 range whenever a population is threaded through, so
+        # slot order == node-id order and the arrays line up).
         self.population = (
             population
             if population is not None and population.heterogeneous else None
@@ -143,17 +170,14 @@ class World:
         pop_caps = (
             self.population.battery_capacities if self.population else None
         )
-        if pop_caps is not None:
-            self._battery_caps: Dict[int, float] = {
-                node_id: float(pop_caps[node_id]) for node_id in self._nodes
-            }
-        elif battery_capacity is not None:
-            self._battery_caps = {
-                node_id: battery_capacity for node_id in self._nodes
-            }
-        else:
-            self._battery_caps = {}
-        self._battery: Dict[int, float] = dict(self._battery_caps)
+        self.state = WorldState(
+            list(self._nodes),
+            battery_capacity=(
+                pop_caps if pop_caps is not None else battery_capacity
+            ),
+        )
+        self.energy.attach(self.state)
+        self._build_interest_matrix()
 
         self.resume_partial_transfers = bool(resume_partial_transfers)
         # (receiver, uuid) -> bytes already moved in an aborted attempt.
@@ -171,7 +195,7 @@ class World:
         self.faults: Optional[FaultInjector] = None
         if faults is not None and faults.enabled:
             self.faults = FaultInjector(self, faults)
-            if faults.recharging and self._battery_caps:
+            if faults.recharging and self.state.battery is not None:
                 self._recharge_process = PeriodicProcess(
                     engine, faults.recharge_interval, self._recharge,
                     start_at=engine.now + faults.recharge_interval,
@@ -356,50 +380,124 @@ class World:
     # Contacts
     # ------------------------------------------------------------------
     def load_contact_trace(self, trace: ContactTrace) -> None:
-        """Schedule every contact up/down event from ``trace``.
+        """Schedule the trace as one batch event per ``(time, kind)``.
 
-        Labels are static strings on purpose: a paper-scale trace
-        schedules hundreds of thousands of events whose labels only
-        surface in error messages, so per-event f-string formatting is
-        pure overhead (the pair is in the callback closure regardless).
-        The events go through :meth:`Engine.schedule_many` — one O(n)
-        heapify instead of n pushes — with firing order identical to a
-        ``schedule_at`` loop.
+        See the module docstring for why this fires in exactly the
+        order a per-pair schedule would.  The events go through
+        :meth:`Engine.schedule_many` — one O(n) heapify instead of n
+        pushes.
         """
-        contact_up = self._contact_up
-        contact_down = self._contact_down
+        run_up = self._run_up_batch
+        run_down = self._run_down_batch
+
+        def batches():
+            current: Optional[Tuple[float, str]] = None
+            pairs: List[Tuple[int, int]] = []
+            for time, kind, pair in trace.events():
+                if (time, kind) != current:
+                    if current is not None:
+                        yield current, pairs
+                    current = (time, kind)
+                    pairs = []
+                pairs.append(pair)
+            if current is not None:
+                yield current, pairs
+
         self.engine.schedule_many(
-            (time, (lambda p=pair: contact_up(p)), 1, "contact-up")
+            (time, (lambda b=batch: run_up(b)), 1, "contact-up-batch")
             if kind == "up"
-            else (time, (lambda p=pair: contact_down(p)), 0, "contact-down")
-            for time, kind, pair in trace.events()
+            else (time, (lambda b=batch: run_down(b)), 0, "contact-down-batch")
+            for (time, kind), batch in batches()
         )
+
+    def _run_up_batch(self, batch: List[Tuple[int, int]]) -> None:
+        """One contact-up tick: admit, batch-prepare, open.
+
+        With a batching router this splits the per-pair handler into
+        three phases — (1) admission for every pair in trace order
+        (consuming the behaviour RNG stream exactly as the per-pair
+        loop does: admission outcomes cannot be changed by earlier
+        pairs' exchanges, whose transfers settle at strictly later
+        events), (2) one ``prepare_contact_batch`` so the router can
+        run its pre-exchange state updates vectorised, then (3) the
+        open/trace/exchange half per admitted pair in order.  A pair
+        admitted earlier in the batch suppresses later duplicates
+        before their RNG draws — the same skip the live-link check
+        performs per pair.  Without a batching router this is the plain
+        per-pair loop.
+        """
+        router = self.router
+        if not router.supports_contact_batching:
+            contact_up = self._contact_up
+            for pair in batch:
+                contact_up(pair)
+            return
+        admit = self._admit_contact
+        admitted: List[Tuple[int, int]] = []
+        admitted_set: Set[Tuple[int, int]] = set()
+        for pair in batch:
+            if pair in admitted_set:
+                continue
+            if admit(pair):
+                admitted.append(pair)
+                admitted_set.add(pair)
+        if not admitted:
+            return
+        router.prepare_contact_batch(admitted)
+        open_contact = self._open_contact
+        for pair in admitted:
+            open_contact(pair)
+
+    def _run_down_batch(self, batch: List[Tuple[int, int]]) -> None:
+        """One contact-down tick: close in order, batch the growths.
+
+        Every live pair is popped, closed and traced at its per-pair
+        point (aborting in-flight transfers exactly as before).  The
+        router's ``on_contact_end`` — the ChitChat growth phase — is
+        deferred for *every* closed pair to one ``contact_end_batch``
+        call in close order: close/abort handling never reads interest
+        tables, so nothing between a growth's per-pair point and the
+        end of the batch observes it, and the router reconstructs each
+        node's own growth order exactly via round decomposition (see
+        ``ChitChatRouter.contact_end_batch``).
+        """
+        router = self.router
+        if not router.supports_contact_batching:
+            contact_down = self._contact_down
+            for pair in batch:
+                contact_down(pair)
+            return
+        close = self._close_contact
+        deferred: List[Link] = []
+        for pair in batch:
+            link = close(pair)
+            if link is not None:
+                deferred.append(link)
+        if deferred:
+            router.contact_end_batch(deferred)
 
     def battery_level(self, node_id: int) -> Optional[float]:
         """Remaining battery in joules (None when batteries are off)."""
-        if not self._battery:
+        if self.state.battery is None:
             return None
-        return self._battery.get(node_id, 0.0)
+        return float(self.state.battery[self.state.slot_of(node_id)])
 
     def _battery_dead(self, node_id: int) -> bool:
-        if not self._battery:
+        if self.state.battery is None:
             return False
-        return self._battery.get(node_id, 0.0) <= 0.0
+        return bool(self.state.battery[self.state.slot_of(node_id)] <= 0.0)
 
     def _drain_battery(self, node_id: int, joules: float) -> None:
-        if not self._battery:
+        battery = self.state.battery
+        if battery is None:
             return
-        before = self._battery.get(node_id, 0.0)
-        self._battery[node_id] = max(0.0, before - joules)
+        slot = self.state.slot_of(node_id)
+        before = float(battery[slot])
+        battery[slot] = max(0.0, before - joules)
         # Under fault injection a depleted battery is a blackout: the
         # node drops its links on the spot instead of merely refusing
-        # new contacts.  (Without the injector the legacy semantics —
-        # existing links survive — are preserved.)
-        if (
-            self.faults is not None
-            and before > 0.0
-            and self._battery[node_id] <= 0.0
-        ):
+        # new contacts.  (Without the injector existing links survive.)
+        if self.faults is not None and before > 0.0 and battery[slot] <= 0.0:
             self._battery_blackout(node_id)
 
     def _battery_blackout(self, node_id: int) -> None:
@@ -446,10 +544,9 @@ class World:
         """The admission half of a contact-up event.
 
         Runs every check — node existence, duplicate live link, and the
-        behaviour gates (which consume the behaviour RNG stream) — in
-        exactly the order the historical monolithic handler did, but
-        creates nothing.  Split out so batching world cores can admit a
-        whole tick's pairs first and open them afterwards.
+        behaviour gates (which consume the behaviour RNG stream) — but
+        creates nothing, so a tick's pairs can all be admitted before
+        any of them opens.
         """
         a, b = pair
         if a not in self._nodes or b not in self._nodes:
@@ -503,7 +600,7 @@ class World:
 
         Returns the closed link (``None`` when there was no live link),
         so callers decide when the router's ``on_contact_end`` runs —
-        the batching core defers it for non-interleaved pairs.
+        the batched down tick defers it.
         """
         link = self._links.pop(pair, None)
         if link is None or link.closed:
@@ -576,21 +673,14 @@ class World:
         self.metrics.on_node_restart()
 
     def _recharge(self, now: float) -> None:
-        if not self._battery or self.faults is None:
+        if self.state.battery is None or self.faults is None:
             return
-        default_amount = self.faults.config.recharge_amount
-        amounts = (
-            self.population.recharge_amounts(default_amount)
-            if self.population is not None else None
-        )
-        for node_id in self._battery:
-            amount = (
-                default_amount if amounts is None
-                else float(amounts[node_id])
-            )
-            self._battery[node_id] = min(
-                self._battery_caps[node_id], self._battery[node_id] + amount
-            )
+        # Heterogeneous populations recharge with a per-node amount
+        # array (slot order == node-id order).
+        amount = self.faults.config.recharge_amount
+        if self.population is not None:
+            amount = self.population.recharge_amounts(amount)
+        self.state.recharge(amount)
 
     # ------------------------------------------------------------------
     # Transfers
@@ -662,8 +752,49 @@ class World:
         self.router.on_transfer_aborted(transfer, link)
 
     # ------------------------------------------------------------------
-    # Workload
+    # Interests and workload
     # ------------------------------------------------------------------
+    def _build_interest_matrix(self) -> None:
+        """Dense (n, keywords) interest incidence for fast fan-out.
+
+        Columns cover the union of node interests in sorted order;
+        message keywords outside the union interest nobody and simply
+        contribute no column.
+        """
+        keywords = sorted(
+            {kw for node in self._nodes.values() for kw in node.interests}
+        )
+        self._interest_columns: Dict[str, int] = {
+            kw: col for col, kw in enumerate(keywords)
+        }
+        matrix = np.zeros((len(self._nodes), len(keywords)), dtype=bool)
+        slot_of = self.state.slot_of
+        for node in self._nodes.values():
+            slot = slot_of(node.node_id)
+            for kw in node.interests:
+                matrix[slot, self._interest_columns[kw]] = True
+        self._interest_matrix = matrix
+
+    def subscribe(self, node_id: int, keywords: Iterable[str]) -> None:
+        """Add direct interests to ``node_id``: it becomes an intended
+        destination of every later message carrying one of them."""
+        node = self.node(node_id)
+        node.interests = frozenset(node.interests) | frozenset(keywords)
+        self._build_interest_matrix()
+
+    def _intended_destinations(self, message: Message) -> Set[int]:
+        """Node ids with a direct interest in ``message`` (source excluded)."""
+        cols = [
+            self._interest_columns[kw]
+            for kw in message.keywords
+            if kw in self._interest_columns
+        ]
+        if not cols:
+            return set()
+        mask = self._interest_matrix[:, cols].any(axis=1)
+        mask[self.state.slot_of(message.source)] = False
+        return set(self.state.node_ids[mask].tolist())
+
     def use_generator(self, generator: MessageGenerator) -> None:
         """Attach the workload generator used by :meth:`schedule_workload`."""
         self._generator = generator
@@ -697,19 +828,6 @@ class World:
             source, self.now, low_quality=low_quality
         )
         self.inject_message(message)
-
-    def _intended_destinations(self, message: Message) -> Set[int]:
-        """Node ids with a direct interest in ``message`` (source excluded).
-
-        The SoA core overrides this with a vectorised interest-matrix
-        lookup; both implementations must return the same set.
-        """
-        return {
-            other.node_id
-            for other in self._nodes.values()
-            if other.node_id != message.source
-            and other.is_interested_in(message)
-        }
 
     def inject_message(self, message: Message) -> None:
         """Originate ``message`` at its source and register metrics."""

@@ -1,50 +1,26 @@
 """Struct-of-arrays per-node world state.
 
-The object world core keeps per-node scalar state scattered across
-Python containers: battery joules in a ``World`` dict, consumed radio
-energy in an ``EnergyModel`` dict, token balances inside the ledger,
-reputation summaries inside the reputation books.  That layout caps
-simulations at paper scale (500 nodes): every update is a hash lookup
-and every aggregate is a Python loop.
+:class:`WorldState` holds the per-node scalar state the
+:class:`~repro.network.world.World` updates on every transfer — radio
+energy consumed and remaining battery — as one NumPy array per field,
+indexed by *slot* (a dense ``0..n-1`` renumbering of node ids).  The
+:class:`~repro.network.energy.EnergyModel` keeps its consumption
+counters in :attr:`WorldState.energy`.
 
-:class:`WorldState` is the contiguous alternative: one NumPy array per
-scalar field, indexed by *slot* (a dense ``0..n-1`` renumbering of node
-ids).  The arrays are the storage the SoA world core
-(:mod:`repro.network.world_soa`) and the array-backed
-:class:`~repro.network.energy.EnergyModel` write through, and
-:class:`NodeStateView` (reachable as ``Node.state``) is the thin
-per-node handle that keeps the object API readable.
-
-Accumulation-order contract
----------------------------
-Batched updates (:meth:`WorldState.charge_energy`,
-:meth:`WorldState.drain_battery`) apply element updates **in argument
-order** via ``np.add.at`` / per-slot assignment, which performs exactly
-the same float additions, in exactly the same order, as the equivalent
-scalar loop.  This is load-bearing: the differential test harness
-(``tests/test_world_soa_differential.py``) asserts bit-identical energy
-and battery trajectories between the object core and the SoA core, and
-float addition is not associative.
-
-Region layout
--------------
-``region`` holds each node's current spatial shard id (assigned from a
-:class:`~repro.mobility.regions.RegionGrid`).  :meth:`assign_regions`
-recomputes the assignment from positions and returns the slots whose
-region changed — the *handoff set* — so callers can migrate per-region
-bookkeeping without ever losing or duplicating a node (every slot has
-exactly one region before and after; the property tests pin this).
+Updates stay one scalar operation per (node, transfer) in event order:
+the arrays change the storage, not the arithmetic, so the floats are
+exactly those of a per-node loop (float addition is not associative).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["WorldState", "NodeStateView"]
+__all__ = ["WorldState"]
 
 
 class WorldState:
@@ -59,39 +35,13 @@ class WorldState:
             devices, the paper's evaluation setting).  Heterogeneous
             populations may pass an ``(n,)`` per-node array instead
             (``inf`` entries model mains power).
-        class_id: Optional ``(n,)`` int64 population class index per
-            slot (see :mod:`repro.population`); ``None`` for the
-            homogeneous legacy case.
-        radius: Optional ``(n,)`` per-node transmission radius.
-        link_speed: Optional ``(n,)`` per-node link speed in B/s.
-        buffer_capacity: Optional ``(n,)`` per-node buffer bytes.
 
     Attributes:
-        positions: ``(n, 2)`` float64 positions in metres.
-        velocities: ``(n, 2)`` float64 velocities in m/s.
         energy: ``(n,)`` float64 cumulative radio joules consumed.
         battery: ``(n,)`` float64 remaining joules, or ``None``.
-        balance: ``(n,)`` float64 token-balance mirror (see
-            :meth:`refresh_economics`).
-        reputation: ``(n,)`` float64 reputation-summary mirror.
-        region: ``(n,)`` int64 spatial shard id (0 when unsharded).
-        alive: ``(n,)`` bool liveness flags (churn marks nodes down).
-        class_id: ``(n,)`` int64 class index, or ``None``.
-        radius: ``(n,)`` float64 per-node radio radius, or ``None``.
-        link_speed: ``(n,)`` float64 per-node link speed, or ``None``.
-        buffer_capacity: ``(n,)`` int64 per-node buffer, or ``None``.
     """
 
-    def __init__(
-        self,
-        node_ids: Sequence[int],
-        *,
-        battery_capacity=None,
-        class_id: Optional[np.ndarray] = None,
-        radius: Optional[np.ndarray] = None,
-        link_speed: Optional[np.ndarray] = None,
-        buffer_capacity: Optional[np.ndarray] = None,
-    ):
+    def __init__(self, node_ids: Sequence[int], *, battery_capacity=None):
         ids = [int(i) for i in node_ids]
         if any(i < 0 for i in ids):
             raise ConfigurationError("node ids must be >= 0")
@@ -118,8 +68,6 @@ class WorldState:
         self._slots: Dict[int, int] = {nid: k for k, nid in enumerate(ids)}
         self._identity = bool(ids == list(range(n)))
 
-        self.positions = np.zeros((n, 2), dtype=np.float64)
-        self.velocities = np.zeros((n, 2), dtype=np.float64)
         self.energy = np.zeros(n, dtype=np.float64)
         self.battery_capacity = battery_capacity
         if isinstance(battery_capacity, np.ndarray):
@@ -131,51 +79,7 @@ class WorldState:
                 np.full(n, float(battery_capacity), dtype=np.float64)
                 if battery_capacity is not None else None
             )
-        self.balance = np.zeros(n, dtype=np.float64)
-        self.reputation = np.zeros(n, dtype=np.float64)
-        self.region = np.zeros(n, dtype=np.int64)
-        self.alive = np.ones(n, dtype=bool)
-        self.class_id = (
-            np.asarray(class_id, dtype=np.int64)
-            if class_id is not None else None
-        )
-        self.radius = (
-            np.asarray(radius, dtype=np.float64)
-            if radius is not None else None
-        )
-        self.link_speed = (
-            np.asarray(link_speed, dtype=np.float64)
-            if link_speed is not None else None
-        )
-        self.buffer_capacity = (
-            np.asarray(buffer_capacity, dtype=np.int64)
-            if buffer_capacity is not None else None
-        )
-        for name in ("class_id", "radius", "link_speed", "buffer_capacity"):
-            array = getattr(self, name)
-            if array is not None and array.shape != (n,):
-                raise ConfigurationError(
-                    f"{name} array must have shape ({n},), got {array.shape}"
-                )
-        #: Fused [node-row × keyword] interest-weight store (see
-        #: :class:`repro.routing.chitchat.InterestStore`), attached by
-        #: a batching router at bind time; ``None`` until then.  Lives
-        #: here so router tick state sits beside the other per-node
-        #: arrays and survives router re-binds to the same world.
-        self.interest_store = None
 
-    def attach_interest_store(self, store) -> None:
-        """Adopt ``store`` as the world's fused interest-weight store.
-
-        Called by :meth:`repro.routing.chitchat.ChitChatRouter.bind`
-        when it binds to an array-core world; the presence of this
-        method is also what marks the world as fused-store capable.
-        """
-        self.interest_store = store
-
-    # ------------------------------------------------------------------
-    # Identity
-    # ------------------------------------------------------------------
     @property
     def n(self) -> int:
         """Number of slots."""
@@ -203,239 +107,14 @@ class WorldState:
                 f"unknown node id {node_id}"
             ) from None
 
-    def view(self, node_id: int) -> "NodeStateView":
-        """A per-node handle over ``node_id``'s slot."""
-        return NodeStateView(self, self.slot_of(node_id))
-
     def __len__(self) -> int:
         return self.n
 
-    # ------------------------------------------------------------------
-    # Batched scalar updates (scalar accumulation order preserved)
-    # ------------------------------------------------------------------
-    def charge_energy(
-        self, slots: np.ndarray, joules: np.ndarray
-    ) -> None:
-        """Accumulate radio energy against ``slots`` element-by-element.
-
-        ``np.add.at`` applies the additions in argument order, so a
-        batch with repeated slots produces exactly the floats a scalar
-        ``for`` loop would — the accumulation-order contract above.
-        """
-        np.add.at(self.energy, slots, joules)
-
-    def drain_battery(
-        self, slots: np.ndarray, joules: np.ndarray
-    ) -> np.ndarray:
-        """Drain batteries in argument order; clamp at zero.
-
-        Returns:
-            The slots (in argument order, deduplicated) that crossed
-            from positive charge to empty during this batch — the
-            blackout set the fault layer reacts to.  Empty when
-            batteries are disabled.
-        """
-        if self.battery is None:
-            return np.empty(0, dtype=np.int64)
-        slots = np.asarray(slots, dtype=np.int64)
-        joules = np.asarray(joules, dtype=np.float64)
-        pre_entry = self.battery[slots]  # fancy indexing copies
-        before_positive = pre_entry > 0.0
-        np.subtract.at(self.battery, slots, joules)
-        np.maximum(self.battery, 0.0, out=self.battery)
-        now_empty = self.battery[slots] <= 0.0
-        crossed = slots[before_positive & now_empty]
-        if crossed.size > 1:
-            # More than one candidate entry: replay the batch to order
-            # crossings the way the scalar loop would.  A slot's entry
-            # order in the batch is not its crossing order (earlier
-            # entries may drain nothing), and the blackout set's order
-            # feeds event scheduling, so it must match exactly.  Rare
-            # path: at most len(batch) dict operations.
-            remaining: Dict[int, float] = {}
-            order: List[int] = []
-            for k in range(slots.size):
-                slot = int(slots[k])
-                level = remaining.setdefault(slot, float(pre_entry[k]))
-                if level <= 0.0:
-                    continue
-                level -= float(joules[k])
-                remaining[slot] = level
-                if level <= 0.0:
-                    order.append(slot)
-            crossed = np.asarray(order, dtype=np.int64)
-        return crossed
-
-    def recharge(self, amount: float) -> None:
-        """Add ``amount`` joules to every battery, capped at capacity."""
+    def recharge(self, amount) -> None:
+        """Add ``amount`` joules (a scalar or an ``(n,)`` array) to every
+        battery, capped at capacity."""
         if self.battery is None:
             return
         np.minimum(
             self.battery + amount, self.battery_capacity, out=self.battery
-        )
-
-    # ------------------------------------------------------------------
-    # Regions
-    # ------------------------------------------------------------------
-    def assign_regions(self, grid) -> np.ndarray:
-        """Recompute region ids from positions via ``grid``.
-
-        Args:
-            grid: A :class:`~repro.mobility.regions.RegionGrid`.
-
-        Returns:
-            The slots whose region changed (the boundary-handoff set),
-            in slot order.  Every slot has exactly one region before
-            and after — nodes are never lost or duplicated by a
-            handoff.
-        """
-        new = grid.region_of(self.positions)
-        moved = np.flatnonzero(new != self.region)
-        self.region[:] = new
-        return moved
-
-    def region_members(self, region: int) -> np.ndarray:
-        """Slots currently assigned to ``region`` (ascending)."""
-        return np.flatnonzero(self.region == int(region))
-
-    def region_counts(self, n_regions: int) -> np.ndarray:
-        """Population per region; sums to ``n`` by construction."""
-        return np.bincount(self.region, minlength=int(n_regions))
-
-    # ------------------------------------------------------------------
-    # Economics mirrors
-    # ------------------------------------------------------------------
-    def refresh_economics(
-        self, router, *, include_reputation: bool = True
-    ) -> None:
-        """Pull token balances and reputation summaries into the arrays.
-
-        The ledger and reputation books stay the transactional source of
-        truth (their idempotence and escrow machinery is audited by the
-        trace subsystem); these arrays are the batch-query mirror for
-        whole-population analytics at scale.  Call after ``finalize``
-        or at sampling points.
-
-        Args:
-            router: The scheme router (``ledger`` / ``reputation``
-                attributes are optional; absent ones are skipped).
-            include_reputation: The reputation mirror averages every
-                observer's book per subject — O(n^2) — so large-scale
-                callers refresh balances only.
-        """
-        ledger = getattr(router, "ledger", None)
-        if ledger is not None:
-            for node_id, balance in ledger.balances().items():
-                slot = self._slots.get(int(node_id))
-                if slot is not None:
-                    self.balance[slot] = balance
-        reputation = (
-            getattr(router, "reputation", None)
-            if include_reputation else None
-        )
-        if reputation is not None:
-            average = getattr(reputation, "average_score_of", None)
-            if average is not None:
-                observers = sorted(self._slots)
-                for node_id, slot in self._slots.items():
-                    self.reputation[slot] = float(
-                        average(node_id, observers)
-                    )
-
-    # ------------------------------------------------------------------
-    # Aggregates
-    # ------------------------------------------------------------------
-    def total_energy(self) -> float:
-        """Total joules consumed across the population."""
-        return float(self.energy.sum())
-
-    def total_balance(self) -> float:
-        """Sum of the token-balance mirror."""
-        return float(self.balance.sum())
-
-
-class NodeStateView:
-    """A thin, allocation-free handle over one :class:`WorldState` slot.
-
-    ``Node`` objects in the SoA core hold one of these instead of scalar
-    attributes: reads and writes go straight to the shared arrays, so
-    routers keep their object-style accessors while the storage stays
-    contiguous.
-    """
-
-    __slots__ = ("_state", "_slot")
-
-    def __init__(self, state: WorldState, slot: int):
-        self._state = state
-        self._slot = int(slot)
-
-    @property
-    def state(self) -> WorldState:
-        """The backing :class:`WorldState`."""
-        return self._state
-
-    @property
-    def slot(self) -> int:
-        """This node's row in every state array."""
-        return self._slot
-
-    @property
-    def node_id(self) -> int:
-        """The node id stored in this slot."""
-        return int(self._state._node_ids[self._slot])
-
-    @property
-    def position(self) -> np.ndarray:
-        """``(2,)`` position in metres (a live view)."""
-        return self._state.positions[self._slot]
-
-    @position.setter
-    def position(self, value: Iterable[float]) -> None:
-        self._state.positions[self._slot] = value
-
-    @property
-    def velocity(self) -> np.ndarray:
-        """``(2,)`` velocity in m/s (a live view)."""
-        return self._state.velocities[self._slot]
-
-    @velocity.setter
-    def velocity(self, value: Iterable[float]) -> None:
-        self._state.velocities[self._slot] = value
-
-    @property
-    def energy_consumed(self) -> float:
-        """Cumulative radio joules consumed."""
-        return float(self._state.energy[self._slot])
-
-    @property
-    def battery(self) -> Optional[float]:
-        """Remaining battery joules (None when batteries are off)."""
-        if self._state.battery is None:
-            return None
-        return float(self._state.battery[self._slot])
-
-    @property
-    def token_balance(self) -> float:
-        """Token-balance mirror (see ``WorldState.refresh_economics``)."""
-        return float(self._state.balance[self._slot])
-
-    @property
-    def reputation_score(self) -> float:
-        """Reputation-summary mirror."""
-        return float(self._state.reputation[self._slot])
-
-    @property
-    def region(self) -> int:
-        """Current spatial shard id."""
-        return int(self._state.region[self._slot])
-
-    @property
-    def alive(self) -> bool:
-        """Whether the node is currently up (churn marks nodes down)."""
-        return bool(self._state.alive[self._slot])
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"NodeStateView(node={self.node_id}, slot={self._slot}, "
-            f"region={self.region})"
         )

@@ -26,7 +26,7 @@ source of truth for that heterogeneity:
   perturbs the draws of classes listed before it.
 * :class:`PopulationMap` — the resolved per-node arrays (class id,
   radius, link speed, buffer, battery, recharge) every lower layer
-  consumes: the SoA :class:`~repro.network.world_state.WorldState`,
+  consumes: the world's :class:`~repro.network.world_state.WorldState`,
   the contact detector's per-node radii, the world's per-link speed
   and the incentive layer's per-class award multipliers.
 * The ``pedestrian`` / ``vehicular`` / ``infrastructure`` preset

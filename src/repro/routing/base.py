@@ -144,7 +144,7 @@ class Router(abc.ABC):
     ) -> None:
         """All admitted pairs of one contact-up tick, before any opens.
 
-        Called by batching world cores once per up tick so a router can
+        Called by the world once per up tick so a batching router can
         run pre-exchange state updates (ChitChat's RTSR decay) as
         vectorised passes over whatever subset it can prove safe,
         marking those sides so the per-pair hooks skip them.  The
@@ -155,7 +155,7 @@ class Router(abc.ABC):
     def contact_end_batch(self, links: List[Link]) -> None:
         """Every closed link of one contact-down tick, in close order.
 
-        Called by batching world cores instead of per-pair
+        Called by the world instead of per-pair
         :meth:`on_contact_end`; the router may reorder or fuse the
         per-link work as long as the result is bit-identical (ChitChat
         uses round decomposition).  The default simply replays the

@@ -27,7 +27,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Set,
@@ -138,130 +137,19 @@ _EMPTY_IDS = np.empty(0, dtype=np.int64)
 _SCALAR_ROWS_MAX = 48
 
 
-class _RecordView:
-    """A live, mutable :class:`InterestRecord`-shaped handle over one
-    table row.  Reads and writes go straight to the table's arrays."""
-
-    __slots__ = ("_table", "_id")
-
-    def __init__(self, table: "InterestTable", keyword_id: int):
-        self._table = table
-        self._id = keyword_id
-
-    @property
-    def weight(self) -> float:
-        return float(self._table._weight[self._id])
-
-    @weight.setter
-    def weight(self, value: float) -> None:
-        self._table._weight[self._id] = value
-
-    @property
-    def direct(self) -> bool:
-        return bool(self._table._direct[self._id])
-
-    @direct.setter
-    def direct(self, value: bool) -> None:
-        self._table._direct[self._id] = value
-
-    @property
-    def last_contact(self) -> float:
-        return float(self._table._last[self._id])
-
-    @last_contact.setter
-    def last_contact(self, value: float) -> None:
-        self._table._last[self._id] = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"InterestRecord(weight={self.weight!r}, direct={self.direct!r}, "
-            f"last_contact={self.last_contact!r})"
-        )
-
-
-class _RecordMap:
-    """Dict-like adapter exposing a table's rows as keyword -> record.
-
-    Preserves the historical ``table._records`` seam (tests seed and
-    tweak records through it); values read back as live
-    :class:`_RecordView` handles.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: "InterestTable"):
-        self._table = table
-
-    def __getitem__(self, keyword: str) -> _RecordView:
-        table = self._table
-        keyword_id = table._index.get(keyword)
-        if keyword_id is None or not table._row_present(keyword_id):
-            raise KeyError(keyword)
-        return _RecordView(table, keyword_id)
-
-    def __setitem__(self, keyword: str, record: InterestRecord) -> None:
-        table = self._table
-        keyword_id = table._slot(keyword)
-        table._weight[keyword_id] = record.weight
-        table._direct[keyword_id] = record.direct
-        table._last[keyword_id] = record.last_contact
-        table._present[keyword_id] = True
-        table._invalidate_views()
-
-    def __delitem__(self, keyword: str) -> None:
-        table = self._table
-        keyword_id = table._index.get(keyword)
-        if keyword_id is None or not table._row_present(keyword_id):
-            raise KeyError(keyword)
-        table._present[keyword_id] = False
-        table._weight[keyword_id] = 0.0
-        table._invalidate_views()
-
-    def __contains__(self, keyword: str) -> bool:
-        table = self._table
-        keyword_id = table._index.get(keyword)
-        return keyword_id is not None and table._row_present(keyword_id)
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self._table._present))
-
-    def __iter__(self) -> Iterator[str]:
-        table = self._table
-        name_of = table._index.name_of
-        for keyword_id in np.flatnonzero(table._present):
-            yield name_of(int(keyword_id))
-
-    def keys(self) -> Iterator[str]:
-        return iter(self)
-
-    def values(self) -> Iterator[_RecordView]:
-        table = self._table
-        for keyword_id in np.flatnonzero(table._present):
-            yield _RecordView(table, int(keyword_id))
-
-    def items(self) -> Iterator[Tuple[str, _RecordView]]:
-        table = self._table
-        name_of = table._index.name_of
-        for keyword_id in np.flatnonzero(table._present):
-            yield name_of(int(keyword_id)), _RecordView(table, int(keyword_id))
-
-    def get(self, keyword: str, default=None):
-        try:
-            return self[keyword]
-        except KeyError:
-            return default
-
-
 class InterestTable:
     """A node's keyword-weight table (direct + transient interests).
 
-    Storage is struct-of-arrays: one float64/bool row per keyword id in
-    the shared :class:`KeywordIndex`, with a ``present`` mask standing
-    in for dict membership.  Algorithm 1 (decay) and Algorithm 2
-    (growth) are elementwise — no cross-keyword accumulation — so the
-    vectorised updates below compute bit-identical floats to the
-    historical per-record loops (each element sees the same expression,
-    evaluated in the same operation order).
+    A table is one row of an :class:`InterestStore` (create tables with
+    :meth:`InterestStore.create_table`): ``_weight`` / ``_direct`` /
+    ``_last`` / ``_present`` are 1-D views over that row of the store's
+    2-D arrays, one element per keyword id in the shared
+    :class:`KeywordIndex`, with the ``present`` mask standing in for
+    dict membership.  Algorithm 1 (decay) and Algorithm 2 (growth) are
+    elementwise — no cross-keyword accumulation — so the vectorised
+    updates below compute bit-identical floats to per-record loops
+    (each element sees the same expression, evaluated in the same
+    operation order).
 
     The table carries a monotonically increasing :attr:`version` bumped
     by every mutating operation (decay, growth, subscription), which
@@ -270,14 +158,10 @@ class InterestTable:
     invalidation.
     """
 
-    def __init__(
-        self,
-        direct_interests: Iterable[str],
-        created_at: float = 0.0,
-        *,
-        index: Optional[KeywordIndex] = None,
-    ):
-        self._index = index if index is not None else KeywordIndex()
+    def __init__(self, store: "InterestStore", row: int):
+        self._store = store
+        self._row = row
+        self._index = store.index
         #: Bumped on every mutation; cache-invalidation token.
         self.version: int = 0
         #: Bumped only when row *membership* changes (acquire, prune,
@@ -290,63 +174,41 @@ class InterestTable:
         self._ids_view_key: int = -1
         self._ids_list_view: Optional[List[int]] = None
         self._ids_list_key: int = -1
-        capacity = max(8, len(self._index))
-        self._weight = np.zeros(capacity, dtype=np.float64)
-        self._direct = np.zeros(capacity, dtype=bool)
-        self._last = np.zeros(capacity, dtype=np.float64)
-        self._present = np.zeros(capacity, dtype=bool)
-        for keyword in direct_interests:
-            keyword_id = self._slot(keyword)
-            self._weight[keyword_id] = 0.5
-            self._direct[keyword_id] = True
-            self._last[keyword_id] = created_at
-            self._present[keyword_id] = True
+        self._attach()
 
     # ------------------------------------------------------------------
     # Row plumbing
     # ------------------------------------------------------------------
+    def _attach(self) -> None:
+        """(Re)bind the array views to this table's store row."""
+        store = self._store
+        row = self._row
+        self._weight = store._w[row]
+        self._direct = store._d[row]
+        self._last = store._l[row]
+        self._present = store._p[row]
+
     @property
     def index(self) -> KeywordIndex:
         """The shared keyword registry this table's rows live in."""
         return self._index
 
-    @property
-    def _records(self) -> _RecordMap:
-        """Dict-like row access (compatibility seam; see _RecordMap)."""
-        return _RecordMap(self)
-
     def _slot(self, keyword: str) -> int:
-        """The row for ``keyword``, growing arrays to cover its id."""
+        """The column for ``keyword``, widening the store to cover it."""
         keyword_id = self._index.id_of(keyword)
         self._ensure(keyword_id)
         return keyword_id
 
     def _ensure(self, keyword_id: int) -> None:
-        capacity = self._present.size
-        if keyword_id < capacity:
-            return
-        new_capacity = max(capacity * 2, keyword_id + 1)
-        grow = new_capacity - capacity
-        self._weight = np.concatenate(
-            [self._weight, np.zeros(grow, dtype=np.float64)]
-        )
-        self._direct = np.concatenate(
-            [self._direct, np.zeros(grow, dtype=bool)]
-        )
-        self._last = np.concatenate(
-            [self._last, np.zeros(grow, dtype=np.float64)]
-        )
-        self._present = np.concatenate(
-            [self._present, np.zeros(grow, dtype=bool)]
-        )
+        """Widen every store row to cover ``keyword_id`` (a row view
+        cannot grow in place; the store re-attaches all views)."""
+        if keyword_id >= self._present.size:
+            self._store.ensure_columns(keyword_id)
 
     def _row_present(self, keyword_id: int) -> bool:
         return keyword_id < self._present.size and bool(
             self._present[keyword_id]
         )
-
-    def _invalidate_views(self) -> None:
-        self._members_version += 1
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self._present))
@@ -383,13 +245,6 @@ class InterestTable:
             self._ids_view = np.flatnonzero(self._present)
             self._ids_view_key = self._members_version
         return self._ids_view
-
-    def record(self, keyword: str) -> Optional[_RecordView]:
-        """A live record handle for ``keyword``, or None."""
-        keyword_id = self._index.get(keyword)
-        if keyword_id is None or not self._row_present(keyword_id):
-            return None
-        return _RecordView(self, keyword_id)
 
     def weight(self, keyword: str) -> float:
         """Current weight of ``keyword`` (0.0 when absent)."""
@@ -541,9 +396,8 @@ class InterestTable:
         Used by the churn wipe path: a node that loses its volatile
         state restarts with exactly the table a brand-new node gets —
         zero rows, then its direct subscriptions re-seeded at weight
-        0.5, and (crucially) :attr:`version` back at 0.  Works for both
-        standalone tables and fused-store row views (all writes are
-        in-place on the backing arrays).
+        0.5, and (crucially) :attr:`version` back at 0.  All writes are
+        in place on the store row.
         """
         self._weight[:] = 0.0
         self._direct[:] = False
@@ -743,18 +597,6 @@ class InterestTable:
             weights = weights[keep]
         return rows, weights, self._direct[rows]
 
-    def snapshot_weights(self) -> List[Tuple[str, float, bool]]:
-        """``(keyword, weight, direct)`` triples with positive weight.
-
-        String-keyed variant of :meth:`snapshot_arrays` for callers
-        outside the hot path (and across distinct indexes)."""
-        rows, weights, direct = self.snapshot_arrays()
-        name_of = self._index.name_of
-        return [
-            (name_of(int(i)), float(w), bool(d))
-            for i, w, d in zip(rows, weights, direct)
-        ]
-
     def grow_from_arrays(
         self,
         peer_ids: np.ndarray,
@@ -864,108 +706,12 @@ class InterestTable:
             # did — no-op growth ticks keep memoised sums alive.
             self.version += 1
 
-    def grow_from_weights(
-        self,
-        peer_weights: List[Tuple[str, float, bool]],
-        now: float,
-        elapsed: float,
-        *,
-        growth_scale: float,
-        elapsed_cap: float,
-    ) -> None:
-        """Grow this table from a string-keyed peer snapshot.
-
-        Compatibility wrapper translating keywords into this table's
-        index and delegating to :meth:`grow_from_arrays`.
-        """
-        id_of = self._index.id_of
-        ids = np.asarray(
-            [id_of(k) for k, _, _ in peer_weights], dtype=np.int64
-        )
-        weights = np.asarray(
-            [w for _, w, _ in peer_weights], dtype=np.float64
-        )
-        direct = np.asarray(
-            [d for _, _, d in peer_weights], dtype=bool
-        )
-        self.grow_from_arrays(
-            ids, weights, direct, now, elapsed,
-            growth_scale=growth_scale, elapsed_cap=elapsed_cap,
-        )
-
-    def grow_from(
-        self,
-        peer: "InterestTable",
-        now: float,
-        elapsed: float,
-        *,
-        growth_scale: float,
-        elapsed_cap: float,
-    ) -> None:
-        """Grow this table from ``peer``'s weights per Algorithm 2.
-
-        Convenience wrapper; callers that need symmetric two-sided
-        growth should snapshot both tables first (see
-        :meth:`ChitChatRouter.run_rtsr_growth`).
-        """
-        if peer._index is self._index:
-            ids, weights, direct = peer.snapshot_arrays()
-            self.grow_from_arrays(
-                ids, weights, direct, now, elapsed,
-                growth_scale=growth_scale, elapsed_cap=elapsed_cap,
-            )
-        else:
-            self.grow_from_weights(
-                peer.snapshot_weights(), now, elapsed,
-                growth_scale=growth_scale, elapsed_cap=elapsed_cap,
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         direct = int(np.count_nonzero(self._present & self._direct))
         return (
             f"InterestTable({direct} direct, "
             f"{len(self) - direct} transient)"
         )
-
-
-class _StoreTable(InterestTable):
-    """An :class:`InterestTable` whose arrays are rows of a fused store.
-
-    ``_weight``/``_direct``/``_last``/``_present`` are 1-D views over
-    one row of the store's 2-D arrays, so every inherited method works
-    unchanged — reads and writes land in the fused store.  The only
-    override is capacity growth: a row view cannot be grown in place,
-    so ``_ensure`` asks the store to widen *all* rows and re-attach the
-    views.
-    """
-
-    def __init__(self, store: "InterestStore", row: int):
-        self._store = store
-        self._row = row
-        self._index = store.index
-        self.version = 0
-        self._members_version = 0
-        self._keywords_view = None
-        self._keywords_view_key = -1
-        self._ids_view = None
-        self._ids_view_key = -1
-        self._ids_list_view = None
-        self._ids_list_key = -1
-        self._attach()
-
-    def _attach(self) -> None:
-        """(Re)bind the array views to this table's store row."""
-        store = self._store
-        row = self._row
-        self._weight = store._w[row]
-        self._direct = store._d[row]
-        self._last = store._l[row]
-        self._present = store._p[row]
-
-    def _ensure(self, keyword_id: int) -> None:
-        if keyword_id < self._present.size:
-            return
-        self._store.ensure_columns(keyword_id)
 
 
 class InterestStore:
@@ -975,19 +721,16 @@ class InterestStore:
     two bool masks (direct, present) back *every* interest table the
     router creates, with columns indexed by the shared
     :class:`KeywordIndex` and one row per node table in creation order.
-    Owned by ``WorldState`` on the SoA path (see
-    ``WorldState.attach_interest_store``); the object-core ``World``
-    keeps standalone per-node tables.
+    Owned by the :class:`ChitChatRouter` that creates the tables.
 
-    Per-table semantics are untouched — tables are :class:`_StoreTable`
-    row views and run the exact :class:`InterestTable` code.  What the
-    fusion buys is the *batched* tick operations (:meth:`batch_decay`,
+    Tables are :class:`InterestTable` row views.  What the fusion buys
+    is the *batched* tick operations (:meth:`batch_decay`,
     :meth:`batch_grow_pairs`): contacts in one scan tick whose
     endpoints do not interleave run their Algorithm 1/2 updates as a
     handful of ufuncs over a ``(contacts, keywords)`` block instead of
     two Python calls per contact.  Both batched forms evaluate the
     identical IEEE expression per element as the per-table paths, so
-    results are bit-identical (the differential harness and the fused
+    results are bit-identical (the golden trace digests and the fused
     property tests pin this).
 
     Rows are assigned lazily (tables are created on first contact), so
@@ -1002,7 +745,7 @@ class InterestStore:
         self._d = np.zeros((rows, columns), dtype=bool)
         self._l = np.zeros((rows, columns), dtype=np.float64)
         self._p = np.zeros((rows, columns), dtype=bool)
-        self._tables: List[_StoreTable] = []
+        self._tables: List[InterestTable] = []
 
     @property
     def columns(self) -> int:
@@ -1014,13 +757,13 @@ class InterestStore:
 
     def create_table(
         self, direct_interests: Iterable[str], created_at: float
-    ) -> _StoreTable:
-        """A fresh table over the next free row, seeded like
-        ``InterestTable(direct_interests, created_at)``."""
+    ) -> InterestTable:
+        """A fresh table over the next free row: ``direct_interests`` at
+        weight 0.5, last contact ``created_at``."""
         row = len(self._tables)
         if row >= self._w.shape[0]:
             self._grow_rows(row + 1)
-        table = _StoreTable(self, row)
+        table = InterestTable(self, row)
         # Register before seeding: seeding may widen the columns, which
         # re-attaches every registered row view (including this one).
         self._tables.append(table)
@@ -1225,6 +968,9 @@ class ChitChatRouter(Router):
 
     name = "chitchat"
 
+    #: The fused store's batched hooks are bit-identical to per-pair.
+    supports_contact_batching = True
+
     #: Abort reasons eligible for retransmission (link survived).
     RETRYABLE_ABORTS = ("loss", "corruption")
 
@@ -1267,10 +1013,8 @@ class ChitChatRouter(Router):
         #: weight exchanges move id arrays, not strings.
         self.keyword_index = KeywordIndex()
         self._tables: Dict[int, InterestTable] = {}
-        #: Fused [node × keyword] store backing every table when bound
-        #: to an array-core world (see :meth:`bind`); None on the
-        #: object-core path, where tables own their arrays.
-        self._store: Optional[InterestStore] = None
+        #: Fused [node × keyword] store; every table is one of its rows.
+        self._store = InterestStore(self.keyword_index)
         #: ``(pair, node)`` decay sides already run (or proven no-ops)
         #: by :meth:`prepare_contact_batch` this tick;
         #: ``run_rtsr_decay`` consumes and skips them side by side.
@@ -1333,30 +1077,6 @@ class ChitChatRouter(Router):
             Tuple[int, Dict[int, float], Dict[int, str]],
         ] = {}
 
-    def bind(self, world) -> None:
-        """Attach to ``world``; adopt the fused store on array cores.
-
-        A world exposing a ``WorldState`` (``world.state``, also visible
-        through the incentive layer's substrate context) owns a fused
-        :class:`InterestStore`; every table this router creates becomes
-        a row of it and the world may drive the batched contact hooks.
-        Object-core worlds get standalone per-node tables — the
-        reference implementation stays untouched.
-        """
-        super().bind(world)
-        state = getattr(world, "state", None)
-        if state is not None and hasattr(state, "attach_interest_store"):
-            store = getattr(state, "interest_store", None)
-            if store is None or store.index is not self.keyword_index:
-                store = InterestStore(self.keyword_index)
-                state.attach_interest_store(store)
-            self._store = store
-
-    @property
-    def supports_contact_batching(self) -> bool:
-        """Batched contact hooks need the fused store (SoA path only)."""
-        return self._store is not None
-
     # ------------------------------------------------------------------
     # RTSR state
     # ------------------------------------------------------------------
@@ -1365,16 +1085,9 @@ class ChitChatRouter(Router):
         existing = self._tables.get(node_id)
         if existing is None:
             node = self.world.node(node_id)
-            if self._store is not None:
-                existing = self._store.create_table(
-                    node.interests, created_at=self.world.now
-                )
-            else:
-                existing = InterestTable(
-                    node.interests,
-                    created_at=self.world.now,
-                    index=self.keyword_index,
-                )
+            existing = self._store.create_table(
+                node.interests, created_at=self.world.now
+            )
             self._tables[node_id] = existing
         return existing
 
@@ -1675,7 +1388,7 @@ class ChitChatRouter(Router):
     ) -> None:
         """Run the decay phase for a whole admitted contact batch.
 
-        The world (SoA core) calls this once per contact-up tick with
+        The world calls this once per contact-up tick with
         every admitted pair, *before* any link is created or exchange
         runs.  Every node's **first** decay of the tick runs here as
         one vectorised pass over the fused store; the per-pair
@@ -1702,7 +1415,9 @@ class ChitChatRouter(Router):
         sequential-division drift, bounded rowwise from below); they
         and every batch node reading their membership (partners and
         tick-start open neighbours) fall back to the exact sequential
-        path.  At paper densities this demotes ~3% of pairs.
+        path.  Measured, this sends 27% of decay sides to the sequential
+        path on the ``paper`` benchmark workload, 75% on ``city10k``
+        (10 sim-min) and 68% on ``hetero_audit`` (bench/README.md).
 
         Empty tables are a special case on both paths: the per-table
         decay early-returns on them (no stamp, no version bump), and
@@ -1710,8 +1425,6 @@ class ChitChatRouter(Router):
         sides are marked as done without running anything.
         """
         store = self._store
-        if store is None:
-            return
         predecayed = self._predecayed
         predecayed.clear()
         world = self.world
@@ -2139,7 +1852,7 @@ class ChitChatRouter(Router):
     def contact_end_batch(self, links: List[Link]) -> None:
         """Run the growth phase for a whole tick of ended contacts.
 
-        The world (SoA core) defers ``on_contact_end`` for *every*
+        The world defers ``on_contact_end`` for *every*
         closed pair of the down tick and hands them here in close
         order.  The down tick reads interest tables only through these
         growths (close/abort handling touches none), so the only order
@@ -2155,10 +1868,6 @@ class ChitChatRouter(Router):
         every pair lands in round zero.
         """
         store = self._store
-        if store is None:
-            for link in links:
-                self.on_contact_end(link)
-            return
         now = self.world.now
         cap = self.growth_elapsed_cap
         table = self.table

@@ -33,7 +33,7 @@ from repro.faults import FaultConfig
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.network.node import Node
-from repro.network.world_soa import SoAWorld
+from repro.network.world import World
 from repro.routing.chitchat import ChitChatRouter
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
@@ -100,13 +100,13 @@ def selection_scenarios(draw):
 
 
 def _build(interests, weights, capacities, messages, seen):
-    """One SoA world + bound ChitChat router over the drawn state."""
+    """One world + bound ChitChat router over the drawn state."""
     nodes = [
         Node(i, interests[i], buffer_capacity=capacities[i])
         for i in range(N_NODES)
     ]
     router = ChitChatRouter()
-    world = SoAWorld(
+    world = World(
         Engine(), nodes, router,
         link_speed=1_000.0, streams=RandomStreams(3),
     )

@@ -5,8 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.bench_scale import (
     SCALE_TIERS,
-    extrapolate,
-    fit_power_law,
     scale_config,
     scale_probe,
 )
@@ -22,34 +20,6 @@ class TestScaleConfig:
     def test_500_nodes_is_table_51_area(self):
         config = scale_config(500, 3600.0)
         assert config.area_km2 == pytest.approx(5.0)
-
-    def test_sharding_knobs_pass_through(self):
-        config = scale_config(
-            1000, 60.0, detect_regions=4, detect_workers=2
-        )
-        assert config.detect_regions == 4
-        assert config.detect_workers == 2
-
-
-class TestPowerLawFit:
-    def test_exact_power_law_recovered(self):
-        # wall = 2e-3 * n**1.2
-        points = [(n, 2e-3 * n ** 1.2) for n in (500, 1000, 2000)]
-        c, k = fit_power_law(points)
-        assert c == pytest.approx(2e-3, rel=1e-9)
-        assert k == pytest.approx(1.2, rel=1e-9)
-
-    def test_extrapolate(self):
-        points = [(500, 10.0), (1000, 20.0)]  # linear: k = 1
-        assert extrapolate(points, 10_000) == pytest.approx(200.0)
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ConfigurationError):
-            fit_power_law([(500, 10.0)])
-
-    def test_nonpositive_points_rejected(self):
-        with pytest.raises(ConfigurationError):
-            fit_power_law([(500, 10.0), (1000, 0.0)])
 
 
 class TestScaleProbe:

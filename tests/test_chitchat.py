@@ -7,9 +7,43 @@ from repro.errors import ConfigurationError
 from repro.routing.chitchat import (
     ChitChatRouter,
     InterestRecord,
-    InterestTable,
+    InterestStore,
+    KeywordIndex,
     psi_case,
 )
+
+
+def _tables(*directs, created_at=0.0):
+    """Interest tables over one fresh store (shared keyword index)."""
+    store = InterestStore(KeywordIndex())
+    return [store.create_table(d, created_at=created_at) for d in directs]
+
+
+def _table(direct=(), created_at=0.0):
+    return _tables(direct, created_at=created_at)[0]
+
+
+def _grow(mine, peer, now, elapsed, *, growth_scale=0.01, elapsed_cap=600.0):
+    """One side of Algorithm 2: ``mine`` grows from ``peer``'s snapshot."""
+    mine.grow_from_arrays(
+        *peer.snapshot_arrays(), now, elapsed,
+        growth_scale=growth_scale, elapsed_cap=elapsed_cap,
+    )
+
+
+def _seed(table, keyword, weight, direct, last_contact=0.0):
+    """Set one row directly, for states growth and decay cannot reach."""
+    keyword_id = table._slot(keyword)
+    if not table._present[keyword_id]:
+        table._members_version += 1
+    table._weight[keyword_id] = weight
+    table._direct[keyword_id] = direct
+    table._last[keyword_id] = last_contact
+    table._present[keyword_id] = True
+
+
+def _last_contact(table, keyword):
+    return float(table._last[table.index.get(keyword)])
 
 
 class TestPsiCase:
@@ -30,20 +64,22 @@ class TestPsiCase:
 
 class TestInterestTable:
     def test_direct_interests_start_at_half(self):
-        table = InterestTable(["flood", "fire"])
+        table = _table(["flood", "fire"])
         assert table.weight("flood") == 0.5
         assert table.is_direct("flood")
         assert table.weight("unknown") == 0.0
 
     def test_sum_and_average(self):
-        table = InterestTable(["flood", "fire"])
+        table = _table(["flood", "fire"])
         assert table.sum_for(["flood", "fire", "x"]) == pytest.approx(1.0)
         assert table.average_for(["flood", "x"]) == pytest.approx(0.25)
         assert table.average_for([]) == 0.0
 
     def test_add_direct_promotes_transient(self):
-        table = InterestTable([])
-        table._records["flood"] = InterestRecord(0.2, False, 0.0)
+        table, peer = _tables([], ["flood"])
+        # delta = 0.01 * 0.5 * 200 / psi(None, direct)=5 -> 0.2
+        _grow(table, peer, now=0.0, elapsed=200.0)
+        assert table.weight("flood") == pytest.approx(0.2)
         table.add_direct("flood", now=1.0)
         assert table.is_direct("flood")
         assert table.weight("flood") == 0.5  # lifted to the floor
@@ -53,101 +89,86 @@ class TestInterestTable:
         # Paper's worked example: w=0.6, beta=2, 5 s elapsed.  The thesis
         # reports 0.55, but its stated formula (W_p-0.5)/(beta*dt)+0.5
         # gives 0.1/10 + 0.5 = 0.51; we implement the formula.
-        table = InterestTable(["food-coupon"])
-        record = table.record("food-coupon")
-        record.weight = 0.6
-        record.last_contact = 0.0
+        table, peer = _tables(["food-coupon"], ["food-coupon"])
+        _grow(table, peer, now=0.0, elapsed=20.0)  # 0.5 + 0.1 at t=0
+        assert table.weight("food-coupon") == pytest.approx(0.6)
         table.decay(5.0, set(), beta=2.0)
         assert table.weight("food-coupon") == pytest.approx(0.51)
 
     def test_decay_direct_below_half_rises_toward_half(self):
-        table = InterestTable(["flood"])
-        record = table.record("flood")
-        record.weight = 0.3
-        record.last_contact = 0.0
+        table = _table(["flood"])
+        _seed(table, "flood", 0.3, True)
         table.decay(5.0, set(), beta=2.0)
         assert 0.3 < table.weight("flood") < 0.5
 
     def test_decay_transient_shrinks_toward_zero(self):
-        table = InterestTable([])
-        table._records["flood"] = InterestRecord(0.4, False, 0.0)
+        table, peer = _tables([], ["flood"])
+        _grow(table, peer, now=0.0, elapsed=400.0)  # transient 0.4 at t=0
         table.decay(5.0, set(), beta=2.0)
         assert table.weight("flood") == pytest.approx(0.04)
 
     def test_decay_frozen_while_sharing_device_connected(self):
-        table = InterestTable(["flood"])
-        record = table.record("flood")
-        record.weight = 0.9
-        record.last_contact = 0.0
+        table, peer = _tables(["flood"], ["flood"])
+        _grow(table, peer, now=0.0, elapsed=80.0)  # 0.5 + 0.4 at t=0
         table.decay(100.0, {"flood"}, beta=2.0)
-        assert table.weight("flood") == 0.9
-        assert record.last_contact == 100.0
+        assert table.weight("flood") == pytest.approx(0.9)
+        assert _last_contact(table, "flood") == 100.0
 
     def test_decay_denominator_clamped_to_one(self):
         # beta * dt < 1 must not *amplify* the deviation from 0.5.
-        table = InterestTable(["flood"])
-        record = table.record("flood")
-        record.weight = 0.9
-        record.last_contact = 0.0
+        table, peer = _tables(["flood"], ["flood"])
+        _grow(table, peer, now=0.0, elapsed=80.0)
+        before = table.weight("flood")
         table.decay(0.01, set(), beta=2.0)
-        assert table.weight("flood") <= 0.9
+        assert table.weight("flood") <= before
 
     def test_decay_prunes_dead_transients(self):
-        table = InterestTable([])
-        table._records["flood"] = InterestRecord(1e-4, False, 0.0)
+        table, peer = _tables([], ["flood"])
+        _grow(table, peer, now=0.0, elapsed=0.1)  # transient 1e-4
         table.decay(100.0, set(), beta=2.0)
         assert "flood" not in table
 
     def test_decay_never_prunes_direct_interests(self):
-        table = InterestTable(["flood"])
+        table = _table(["flood"])
         table.decay(1e9, set(), beta=2.0)
         assert "flood" in table
         assert table.weight("flood") == pytest.approx(0.5)
 
     def test_invalid_beta_rejected(self):
         with pytest.raises(ConfigurationError):
-            InterestTable(["x"]).decay(1.0, set(), beta=0.0)
+            _table(["x"]).decay(1.0, set(), beta=0.0)
 
     # ---- Algorithm 2 (growth) ----
     def test_growth_acquires_transient_interest(self):
-        mine = InterestTable([])
-        peer = InterestTable(["flood"])
-        mine.grow_from(peer, now=10.0, elapsed=100.0,
-                       growth_scale=0.01, elapsed_cap=600.0)
+        mine, peer = _tables([], ["flood"])
+        _grow(mine, peer, now=10.0, elapsed=100.0)
         assert "flood" in mine
         assert not mine.is_direct("flood")
         # delta = 0.01 * 0.5 * 100 / psi(None, direct)=5 -> 0.1
         assert mine.weight("flood") == pytest.approx(0.1)
 
     def test_growth_boosts_shared_direct_interest_fastest(self):
-        mine = InterestTable(["flood"])
-        peer = InterestTable(["flood"])
-        mine.grow_from(peer, now=10.0, elapsed=100.0,
-                       growth_scale=0.01, elapsed_cap=600.0)
+        mine, peer = _tables(["flood"], ["flood"])
+        _grow(mine, peer, now=10.0, elapsed=100.0)
         # delta = 0.01 * 0.5 * 100 / 1 = 0.5 -> 1.0 capped
         assert mine.weight("flood") == pytest.approx(1.0)
 
     def test_growth_capped_at_one(self):
-        mine = InterestTable(["flood"])
-        peer = InterestTable(["flood"])
-        mine.grow_from(peer, now=0.0, elapsed=1e9,
-                       growth_scale=1.0, elapsed_cap=1e9)
+        mine, peer = _tables(["flood"], ["flood"])
+        _grow(mine, peer, now=0.0, elapsed=1e9,
+              growth_scale=1.0, elapsed_cap=1e9)
         assert mine.weight("flood") == 1.0
 
     def test_growth_elapsed_cap_applies(self):
-        mine = InterestTable([])
-        peer = InterestTable(["flood"])
-        mine.grow_from(peer, now=0.0, elapsed=1e6,
-                       growth_scale=0.01, elapsed_cap=100.0)
+        mine, peer = _tables([], ["flood"])
+        _grow(mine, peer, now=0.0, elapsed=1e6, elapsed_cap=100.0)
         capped = mine.weight("flood")
         assert capped == pytest.approx(0.01 * 0.5 * 100.0 / 5)
 
     def test_negative_elapsed_rejected(self):
+        mine, peer = _tables([], ["x"])
         with pytest.raises(ConfigurationError):
-            InterestTable([]).grow_from(
-                InterestTable(["x"]), now=0.0, elapsed=-1.0,
-                growth_scale=0.01, elapsed_cap=10.0,
-            )
+            _grow(mine, peer, now=0.0, elapsed=-1.0, elapsed_cap=10.0)
 
 
 class TestRouterClassification:
@@ -257,7 +278,7 @@ class TestVersionTokenAndCaches:
     must bump it."""
 
     def test_every_mutation_bumps_version(self):
-        table = InterestTable(["flood"])
+        table, peer = _tables(["flood"], ["smoke"])
         seen = {table.version}
 
         table.add_direct("fire", now=1.0)
@@ -268,30 +289,26 @@ class TestVersionTokenAndCaches:
         assert table.version not in seen
         seen.add(table.version)
 
-        table.grow_from(InterestTable(["smoke"]), now=20.0, elapsed=60.0,
-                        growth_scale=0.01, elapsed_cap=600.0)
+        _grow(table, peer, now=20.0, elapsed=60.0)
         assert table.version not in seen
 
     def test_keywords_view_tracks_mutations(self):
-        table = InterestTable(["flood"])
+        table, peer = _tables([], ["flood"])
+        _grow(table, peer, now=0.0, elapsed=0.1)  # transient 1e-4
         assert table.keywords == frozenset({"flood"})
         # Cached: identical object while the table is untouched.
         assert table.keywords is table.keywords
         table.add_direct("fire", now=0.0)
         assert table.keywords == frozenset({"flood", "fire"})
-        table._records["flood"].weight = 1e-9
-        table._records["flood"].direct = False
         table.decay(1000.0, set(), beta=2.0)  # prunes the dead transient
         assert table.keywords == frozenset({"fire"})
 
     def test_interest_sum_cache_sees_decay(self):
         router = ChitChatRouter()
-        world = make_world({0: []}, router)
+        world = make_world({0: [], 1: ["flood"]}, router)
         # A transient interest (directs are floored at their initial
         # weight), so decay visibly shrinks the sum.
-        table = router.table(0)
-        table._records["flood"] = InterestRecord(0.5, False, 0.0)
-        table.version += 1
+        _grow(router.table(0), router.table(1), now=0.0, elapsed=500.0)
         message = make_message(keywords=("flood",))
         before = router.interest_sum(0, message)
         assert before == pytest.approx(0.5)
@@ -307,10 +324,7 @@ class TestVersionTokenAndCaches:
         world = make_world({0: [], 1: ["flood", "fire"]}, router)
         message = make_message(keywords=("flood",))
         assert router.interest_sum(0, message) == 0.0
-        router.table(0).grow_from(
-            router.table(1), now=10.0, elapsed=100.0,
-            growth_scale=0.01, elapsed_cap=600.0,
-        )
+        _grow(router.table(0), router.table(1), now=10.0, elapsed=100.0)
         grown = router.interest_sum(0, message)
         assert grown > 0.0
         # Annotating the message changes its keyword sequence, which
@@ -318,29 +332,13 @@ class TestVersionTokenAndCaches:
         message.annotate("fire", added_by=2, added_at=20.0)
         assert router.interest_sum(0, message) == pytest.approx(2 * grown)
 
-    def test_grow_from_weights_matches_grow_from(self):
-        import copy
-        peer = InterestTable(["flood", "fire"])
-        peer._records["smoke"] = InterestRecord(0.3, False, 0.0)
-        peer._records["zeroed"] = InterestRecord(0.0, False, 0.0)
-        mine_a = InterestTable(["fire"])
-        mine_a._records["smoke"] = InterestRecord(0.2, False, 0.0)
-        mine_b = copy.deepcopy(mine_a)
-
-        mine_a.grow_from(peer, now=5.0, elapsed=120.0,
-                         growth_scale=0.01, elapsed_cap=600.0)
-        mine_b.grow_from_weights(
-            peer.snapshot_weights(), now=5.0, elapsed=120.0,
-            growth_scale=0.01, elapsed_cap=600.0,
-        )
-        for keyword in mine_a.keywords | mine_b.keywords:
-            assert mine_a.weight(keyword) == mine_b.weight(keyword)
-        assert "zeroed" not in mine_a
-
-    def test_snapshot_weights_skips_zero_weights(self):
-        table = InterestTable(["flood"])
-        table._records["dead"] = InterestRecord(0.0, False, 0.0)
-        assert table.snapshot_weights() == [("flood", 0.5, True)]
+    def test_snapshot_arrays_skip_zero_weights(self):
+        table = _table(["flood"])
+        _seed(table, "dead", 0.0, False)
+        ids, weights, direct = table.snapshot_arrays()
+        assert ids.tolist() == [table.index.get("flood")]
+        assert weights.tolist() == [0.5]
+        assert direct.tolist() == [True]
 
 
 class TestScalarVectorParity:
@@ -353,9 +351,8 @@ class TestScalarVectorParity:
     """
 
     def _seasoned(self):
-        import numpy as np  # noqa: F401 - keeps helper self-contained
-
-        table = InterestTable(["flood", "fire", "medical"], created_at=0.0)
+        store = InterestStore(KeywordIndex())
+        table = store.create_table(["flood", "fire", "medical"], 0.0)
         snapshots = [
             [("water", 0.7, True), ("food", 0.31, False),
              ("flood", 0.9, True)],
@@ -367,8 +364,11 @@ class TestScalarVectorParity:
         for i, snap in enumerate(snapshots):
             now = 10.0 * (i + 1)
             table.decay(now, {"flood"} if i % 2 else set(), beta=0.05)
-            table.grow_from_weights(
-                snap, now, 7.5 + i,
+            peer = store.create_table([], 0.0)
+            for keyword, weight, direct in snap:
+                _seed(peer, keyword, weight, direct)
+            _grow(
+                table, peer, now, 7.5 + i,
                 growth_scale=0.8 if i != 1 else 20.0,  # i=1 hits the clamp
                 elapsed_cap=60.0,
             )

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.network.energy import SPEED_OF_LIGHT, EnergyModel
+from repro.network.world_state import WorldState
 
 
 class TestFriis:
@@ -55,6 +56,7 @@ class TestEnergyAccounting:
 
     def test_charge_accumulates_per_node(self):
         model = EnergyModel()
+        model.attach(WorldState([1, 2, 3]))
         model.charge(1, 0.5)
         model.charge(1, 0.25)
         model.charge(2, 1.0)

@@ -1,12 +1,12 @@
-"""Property tests pinning the fused router state to the legacy state.
+"""Property tests pinning the batched router state to per-row updates.
 
 Two model-based equivalences back the tick-batched router state
 (DESIGN.md "Tick-batched router state"):
 
 * Random decay/growth/add_direct sequences applied to an
-  :class:`~repro.routing.chitchat.InterestStore` (via its batched
-  operations) and to standalone per-node
-  :class:`~repro.routing.chitchat.InterestTable` objects produce
+  :class:`~repro.routing.chitchat.InterestStore` through its batched
+  operations, and to a second store one
+  :class:`~repro.routing.chitchat.InterestTable` row at a time, produce
   **bit-identical** weights, direct flags and membership.
 * Random rate/merge/exchange/forget sequences applied to the
   array-backed :class:`~repro.core.reputation.ReputationBook` and to a
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.incentive import IncentiveParams
 from repro.core.reputation import ReputationSystem
-from repro.routing.chitchat import InterestStore, InterestTable, KeywordIndex
+from repro.routing.chitchat import InterestStore, KeywordIndex
 
 PARAMS = IncentiveParams()
 
@@ -94,9 +94,9 @@ class TestInterestStoreEquivalence:
     @settings(max_examples=150, deadline=None)
     def test_batched_store_matches_per_node_tables(self, scenario):
         direct, ops = scenario
-        legacy_index = KeywordIndex()
-        legacy = [
-            InterestTable(interests, 0.0, index=legacy_index)
+        reference_store = InterestStore(KeywordIndex(), rows=4)
+        reference = [
+            reference_store.create_table(interests, created_at=0.0)
             for interests in direct
         ]
         fused_index = KeywordIndex()
@@ -112,7 +112,7 @@ class TestInterestStoreEquivalence:
             if kind == "decay":
                 _, _, nodes, connected = op
                 for node in nodes:
-                    legacy[node].decay(
+                    reference[node].decay(
                         now, set(connected[node]), beta=BETA
                     )
                 live = [
@@ -136,16 +136,16 @@ class TestInterestStoreEquivalence:
             elif kind == "grow":
                 _, _, pairs, elapsed = op
                 for (a, b), duration in zip(pairs, elapsed):
-                    # Legacy two-sided growth: snapshot both first
+                    # Per-row two-sided growth: snapshot both first
                     # (run_rtsr_growth's symmetry discipline).
-                    ids_a, w_a, d_a = legacy[a].snapshot_arrays()
-                    ids_b, w_b, d_b = legacy[b].snapshot_arrays()
-                    legacy[a].grow_from_arrays(
+                    ids_a, w_a, d_a = reference[a].snapshot_arrays()
+                    ids_b, w_b, d_b = reference[b].snapshot_arrays()
+                    reference[a].grow_from_arrays(
                         ids_b, w_b, d_b, now, duration,
                         growth_scale=GROWTH_SCALE,
                         elapsed_cap=ELAPSED_CAP,
                     )
-                    legacy[b].grow_from_arrays(
+                    reference[b].grow_from_arrays(
                         ids_a, w_a, d_a, now, duration,
                         growth_scale=GROWTH_SCALE,
                         elapsed_cap=ELAPSED_CAP,
@@ -169,11 +169,11 @@ class TestInterestStoreEquivalence:
                     )
             else:
                 _, _, node, keyword = op
-                legacy[node].add_direct(keyword, now)
+                reference[node].add_direct(keyword, now)
                 fused[node].add_direct(keyword, now)
             for node in range(N_NODES):
                 assert _table_state(fused[node]) == _table_state(
-                    legacy[node]
+                    reference[node]
                 ), f"node {node} diverged after {kind}"
 
 

@@ -132,24 +132,6 @@ class TestParallelEquivalence:
         ]
 
 
-class TestShardedDetectionUnderPool:
-    def test_run_averaged_with_sharded_detection(self, tiny):
-        """Region sharding composes with the seed-level process pool."""
-        sharded = tiny.replace(detect_regions=3)
-        base = run_averaged(tiny, "incentive", [1, 2], workers=2)
-        fanned = run_averaged(sharded, "incentive", [1, 2], workers=2)
-        assert fanned == base
-
-    def test_spec_with_sharded_config_is_picklable(self, tiny):
-        spec = RunSpec(
-            tiny.replace(detect_regions=4, detect_workers=2),
-            "chitchat", 1,
-        )
-        clone = pickle.loads(pickle.dumps(spec))
-        assert clone.config.detect_regions == 4
-        assert clone.config.detect_workers == 2
-
-
 class TestTraceCacheKey:
     def test_key_stable_for_equal_configs(self, tiny):
         assert trace_cache_key(tiny, 1) == trace_cache_key(
@@ -161,13 +143,6 @@ class TestTraceCacheKey:
             selfish_fraction=0.4, malicious_fraction=0.2
         ).with_tokens(999.0)
         assert trace_cache_key(tiny, 1) == trace_cache_key(behavioural, 1)
-
-    def test_key_ignores_world_core_and_sharding(self, tiny):
-        """Same mobility -> same cached trace, whatever core runs it."""
-        variant = tiny.replace(
-            world_core="object", detect_regions=4, detect_workers=2
-        )
-        assert trace_cache_key(tiny, 1) == trace_cache_key(variant, 1)
 
     def test_key_sensitive_to_mobility_fields_and_seed(self, tiny):
         base = trace_cache_key(tiny, 1)

@@ -18,7 +18,7 @@ from repro.errors import BufferError_, InsufficientTokensError
 from repro.messages.message import Priority
 from repro.mobility.contact import pairs_in_range
 from repro.network.buffer import DropPolicy, MessageBuffer
-from repro.routing.chitchat import InterestRecord, InterestTable
+from repro.routing.chitchat import InterestStore, KeywordIndex
 from repro.sim.engine import Engine
 
 PARAMS = IncentiveParams()
@@ -112,6 +112,17 @@ class TestBufferProperties:
 # ChitChat weights: decay/growth keep weights in [0, 1]; decay is
 # monotone toward the fixed point
 # ----------------------------------------------------------------------
+def _seeded(store, weight, direct):
+    """A store row holding one keyword ``"kw"`` at ``weight``."""
+    table = store.create_table([], created_at=0.0)
+    keyword_id = table._slot("kw")
+    table._weight[keyword_id] = weight
+    table._direct[keyword_id] = direct
+    table._present[keyword_id] = True
+    table._members_version += 1
+    return table
+
+
 class TestWeightProperties:
     @given(
         st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
@@ -121,11 +132,9 @@ class TestWeightProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_decay_bounded_and_contracting(self, weight, direct, dt, beta):
-        table = InterestTable([])
-        table._records["kw"] = InterestRecord(weight, direct, 0.0)
+        table = _seeded(InterestStore(KeywordIndex()), weight, direct)
         table.decay(dt, set(), beta=beta, prune_below=0.0)
-        record = table.record("kw")
-        new_weight = record.weight if record is not None else 0.0
+        new_weight = table.weight("kw")
         assert 0.0 <= new_weight <= 1.0
         fixed_point = 0.5 if direct else 0.0
         assert (
@@ -139,12 +148,11 @@ class TestWeightProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_growth_bounded_and_monotone(self, mine, peers, elapsed):
-        table = InterestTable([])
-        table._records["kw"] = InterestRecord(mine, False, 0.0)
-        peer = InterestTable([])
-        peer._records["kw"] = InterestRecord(peers, True, 0.0)
-        table.grow_from(peer, now=1.0, elapsed=elapsed,
-                        growth_scale=0.01, elapsed_cap=600.0)
+        store = InterestStore(KeywordIndex())
+        table = _seeded(store, mine, False)
+        peer = _seeded(store, peers, True)
+        table.grow_from_arrays(*peer.snapshot_arrays(), 1.0, elapsed,
+                               growth_scale=0.01, elapsed_cap=600.0)
         new_weight = table.weight("kw")
         assert mine - 1e-12 <= new_weight <= 1.0
 

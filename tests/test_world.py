@@ -155,6 +155,15 @@ class TestWorkload:
         record = world.metrics.record_for(message.uuid)
         assert record.intended == frozenset({1})
 
+    def test_subscribe_makes_node_an_intended_destination(self):
+        world = _world({0: ["flood"], 1: [], 2: []})
+        world.subscribe(2, ["flood"])
+        assert "flood" in world.node(2).interests
+        message = make_message(source=0, size=100, keywords=("flood",))
+        world.inject_message(message)
+        record = world.metrics.record_for(message.uuid)
+        assert record.intended == frozenset({2})
+
     def test_malicious_behavior_creates_low_quality(self):
         bad = BehaviorProfile(malicious=True, low_quality_probability=1.0)
         world = _world(behaviors={0: bad})

@@ -1,22 +1,10 @@
-"""Property tests (hypothesis) for the struct-of-arrays world state.
+"""Tests for the struct-of-arrays per-node world state.
 
-Three families of invariant back the SoA migration:
-
-* **Degenerate populations** — 0 nodes in a region, 1 node total, all
-  nodes in one region: slot bookkeeping and region queries must stay
-  total (no index errors, no phantom members).
-* **Region conservation** — after any sequence of moves and
-  :meth:`WorldState.assign_regions` calls, every slot has exactly one
-  region and the per-region populations partition the population:
-  boundary crossings never lose or duplicate a node.
-* **Accumulation order** — the batched energy/battery updates must
-  produce exactly the floats a scalar loop produces, for any batch
-  including repeated slots (float addition is not associative, so this
-  is a real constraint, not a tautology).
-
-Plus the settlement-conservation property: a traced run's batched
-token settlements must replay cleanly through the conservation
-auditor.
+* **Slot bookkeeping** — construction, degenerate populations (0 and
+  1 nodes) and the id/slot round trip.
+* **Recharge** — batteries refill up to, never past, capacity.
+* **Settlement conservation** — a traced run's token settlements replay
+  cleanly through the conservation auditor.
 """
 
 import numpy as np
@@ -25,35 +13,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.mobility.regions import RegionGrid
-from repro.network.world_state import NodeStateView, WorldState
+from repro.network.world_state import WorldState
 
 finite_floats = st.floats(
     min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
 )
 
 
-# ----------------------------------------------------------------------
-# Construction & degenerate populations
-# ----------------------------------------------------------------------
 class TestConstruction:
     def test_zero_nodes(self):
         state = WorldState([])
         assert state.n == 0
         assert len(state) == 0
-        assert state.positions.shape == (0, 2)
-        assert state.region_counts(4).tolist() == [0, 0, 0, 0]
-        assert state.assign_regions(
-            RegionGrid((100.0, 100.0), 4)
-        ).size == 0
+        assert state.energy.shape == (0,)
+        assert state.battery is None
 
     def test_one_node(self):
-        state = WorldState([7])
+        state = WorldState([7], battery_capacity=5.0)
         assert state.n == 1
-        view = state.view(7)
-        assert view.node_id == 7
-        assert view.slot == 0
-        assert view.region == 0
+        assert state.slot_of(7) == 0
+        assert state.battery.tolist() == [5.0]
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -81,7 +60,6 @@ class TestConstruction:
         state = WorldState(ids)
         for k, node_id in enumerate(ids):
             assert state.slot_of(node_id) == k
-            assert state.view(node_id).node_id == node_id
         assert state.node_ids.tolist() == ids
 
     def test_node_ids_view_read_only(self):
@@ -90,151 +68,7 @@ class TestConstruction:
             state.node_ids[0] = 9
 
 
-# ----------------------------------------------------------------------
-# Region conservation under arbitrary motion
-# ----------------------------------------------------------------------
-@st.composite
-def region_scenarios(draw):
-    n_nodes = draw(st.integers(min_value=0, max_value=40))
-    n_regions = draw(st.integers(min_value=1, max_value=6))
-    width = draw(st.floats(min_value=10.0, max_value=1000.0))
-    height = draw(st.floats(min_value=10.0, max_value=1000.0))
-    n_steps = draw(st.integers(min_value=1, max_value=5))
-    coords = draw(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=0.0, max_value=1.0),
-                st.floats(min_value=0.0, max_value=1.0),
-            ),
-            min_size=n_nodes * (n_steps + 1),
-            max_size=n_nodes * (n_steps + 1),
-        )
-    )
-    return n_nodes, n_regions, (width, height), n_steps, coords
-
-
-class TestRegionConservation:
-    @given(scenario=region_scenarios())
-    @settings(max_examples=100, deadline=None)
-    def test_crossings_never_lose_or_duplicate_nodes(self, scenario):
-        n_nodes, n_regions, area, n_steps, coords = scenario
-        grid = RegionGrid(area, n_regions)
-        state = WorldState(range(n_nodes))
-        frames = np.asarray(coords, dtype=np.float64).reshape(
-            n_steps + 1, n_nodes, 2
-        ) * np.asarray(area)
-        for step, frame in enumerate(frames):
-            state.positions[:] = frame
-            before = state.region.copy()
-            moved = state.assign_regions(grid)
-            # Partition: every slot in exactly one region.
-            counts = state.region_counts(grid.n_regions)
-            assert int(counts.sum()) == n_nodes
-            members = [
-                state.region_members(r) for r in range(grid.n_regions)
-            ]
-            union = np.concatenate(members) if members else np.empty(0)
-            assert sorted(union.tolist()) == list(range(n_nodes))
-            # The handoff set is exactly the region delta.
-            assert moved.tolist() == np.flatnonzero(
-                before != state.region
-            ).tolist() if step else True
-            # Assignment agrees with the grid's own mapping.
-            assert np.array_equal(
-                state.region, grid.region_of(state.positions)
-            )
-
-    @given(
-        n_nodes=st.integers(min_value=1, max_value=30),
-        n_regions=st.integers(min_value=1, max_value=5),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_all_nodes_in_one_region(self, n_nodes, n_regions):
-        """Degenerate occupancy: the full population in one strip."""
-        grid = RegionGrid((500.0, 500.0), n_regions)
-        state = WorldState(range(n_nodes))
-        lo, hi = grid.bounds(grid.n_regions - 1)
-        state.positions[:, 0] = (lo + hi) / 2.0
-        state.assign_regions(grid)
-        counts = state.region_counts(grid.n_regions)
-        assert counts[grid.n_regions - 1] == n_nodes
-        assert int(counts.sum()) == n_nodes
-        for region in range(grid.n_regions - 1):
-            assert state.region_members(region).size == 0
-
-
-# ----------------------------------------------------------------------
-# Accumulation order: batched == scalar, bit for bit
-# ----------------------------------------------------------------------
-@st.composite
-def charge_batches(draw):
-    n_nodes = draw(st.integers(min_value=1, max_value=8))
-    length = draw(st.integers(min_value=0, max_value=60))
-    slots = draw(st.lists(
-        st.integers(min_value=0, max_value=n_nodes - 1),
-        min_size=length, max_size=length,
-    ))
-    joules = draw(st.lists(
-        st.floats(min_value=0.0, max_value=100.0,
-                  allow_nan=False, allow_infinity=False),
-        min_size=length, max_size=length,
-    ))
-    return n_nodes, slots, joules
-
-
 class TestAccumulationOrder:
-    @given(batch=charge_batches())
-    @settings(max_examples=200, deadline=None)
-    def test_charge_energy_matches_scalar_loop(self, batch):
-        n_nodes, slots, joules = batch
-        state = WorldState(range(n_nodes))
-        state.charge_energy(
-            np.asarray(slots, dtype=np.int64),
-            np.asarray(joules, dtype=np.float64),
-        )
-        expected = np.zeros(n_nodes)
-        for slot, j in zip(slots, joules):
-            expected[slot] += j  # the scalar reference order
-        assert state.energy.tolist() == expected.tolist()
-
-    @given(batch=charge_batches())
-    @settings(max_examples=200, deadline=None)
-    def test_drain_battery_matches_scalar_loop(self, batch):
-        n_nodes, slots, joules = batch
-        capacity = 150.0
-        state = WorldState(range(n_nodes), battery_capacity=capacity)
-        crossed = state.drain_battery(
-            np.asarray(slots, dtype=np.int64),
-            np.asarray(joules, dtype=np.float64),
-        )
-        expected = np.full(n_nodes, capacity)
-        expected_crossed = []
-        for slot, j in zip(slots, joules):
-            was_positive = expected[slot] > 0.0
-            expected[slot] -= j
-            if expected[slot] < 0.0:
-                expected[slot] = 0.0
-            if was_positive and expected[slot] <= 0.0:
-                expected_crossed.append(slot)
-        # Batched drain clamps once at the end; intermediate negatives
-        # within one batch collapse to the same zero, and the crossing
-        # set must agree with the scalar reference.
-        assert np.all(state.battery >= 0.0)
-        positive = expected > 0.0
-        assert np.array_equal(state.battery > 0.0, positive)
-        assert state.battery[positive].tolist() == (
-            expected[positive].tolist()
-        )
-        assert crossed.tolist() == expected_crossed
-
-    def test_drain_without_battery_is_noop(self):
-        state = WorldState(range(3))
-        crossed = state.drain_battery(
-            np.asarray([0, 1], dtype=np.int64),
-            np.asarray([5.0, 5.0], dtype=np.float64),
-        )
-        assert crossed.size == 0
-
     @given(amount=finite_floats)
     @settings(max_examples=50, deadline=None)
     def test_recharge_caps_at_capacity(self, amount):
@@ -247,51 +81,20 @@ class TestAccumulationOrder:
         )
 
 
-# ----------------------------------------------------------------------
-# Views write through to the arrays
-# ----------------------------------------------------------------------
-class TestNodeStateView:
-    def test_position_and_velocity_write_through(self):
-        state = WorldState([0, 1])
-        view = state.view(1)
-        view.position = (3.0, 4.0)
-        view.velocity = (0.5, -0.5)
-        assert state.positions[1].tolist() == [3.0, 4.0]
-        assert state.velocities[1].tolist() == [0.5, -0.5]
-        # And the view reads the live arrays, not a copy.
-        state.positions[1, 0] = 9.0
-        assert view.position[0] == 9.0
-
-    def test_scalar_mirrors(self):
-        state = WorldState([0, 1], battery_capacity=50.0)
-        state.energy[0] = 12.5
-        state.balance[0] = 42.0
-        state.reputation[0] = 3.5
-        view = state.view(0)
-        assert view.energy_consumed == 12.5
-        assert view.battery == 50.0
-        assert view.token_balance == 42.0
-        assert view.reputation_score == 3.5
-        assert view.alive is True
-
-
-# ----------------------------------------------------------------------
-# Batched settlement conserves token supply (trace auditor)
-# ----------------------------------------------------------------------
 class TestSettlementConservation:
     def test_soa_run_settlements_replay_clean(self, tmp_path):
-        """End-to-end: a traced SoA run passes the conservation audit.
+        """End-to-end: a traced run passes the conservation audit.
 
         The auditor replays every settlement record against the ledger
         invariants (supply constant modulo mint/burn, escrow balanced),
-        so a clean replay proves the batched world core never created
+        so a clean replay proves the batched contact path never created
         or destroyed tokens.
         """
         from repro.experiments import ScenarioConfig, run_scenario
         from repro.trace.audit import replay_trace
 
-        path = tmp_path / "soa_settlement.jsonl"
-        config = ScenarioConfig.tiny(world_core="soa")
+        path = tmp_path / "settlement.jsonl"
+        config = ScenarioConfig.tiny()
         run_scenario(config, "incentive", seed=3, trace_path=str(path))
         report = replay_trace(str(path))
         assert report.ok, report
