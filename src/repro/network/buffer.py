@@ -101,17 +101,6 @@ class MessageBuffer:
         """Number of arriving messages rejected so far."""
         return self._rejections
 
-    @property
-    def mutations(self) -> int:
-        """Residency-change counter (bumps on add/remove, never else).
-
-        A memo keyed on this token stays valid exactly as long as the
-        resident set does.  Note it deliberately does *not* track
-        in-place message annotation — callers caching per-message
-        derived state must read mutable message fields at use time.
-        """
-        return self._mutations
-
     def __len__(self) -> int:
         return len(self._messages)
 

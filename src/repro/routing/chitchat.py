@@ -174,6 +174,11 @@ class InterestTable:
         self._ids_view_key: int = -1
         self._ids_list_view: Optional[List[int]] = None
         self._ids_list_key: int = -1
+        #: ``(now, version, _members_version)`` when the last decay left
+        #: the table *fully stamped* (no present row with ``T_l < now``);
+        #: while it still matches, a decay at ``now`` is a no-op that
+        #: the router skips (DESIGN.md §9).
+        self._stamped: Optional[Tuple[float, int, int]] = None
         self._attach()
 
     # ------------------------------------------------------------------
@@ -411,6 +416,7 @@ class InterestTable:
         self._ids_view_key = -1
         self._ids_list_view = None
         self._ids_list_key = -1
+        self._stamped = None
         for keyword in direct_interests:
             keyword_id = self._slot(keyword)
             self._weight[keyword_id] = 0.5
@@ -456,12 +462,13 @@ class InterestTable:
             beta: Decay constant.
             prune_below: Transient records below this weight are removed
                 (bounds table growth; direct interests are never pruned).
+
+        A decay that leaves no present row with ``T_l < now`` records
+        the table as fully stamped at ``now`` (see :attr:`_stamped`).
         """
         if beta <= 0:
             raise ConfigurationError(f"beta must be > 0, got {beta!r}")
         present = self._present
-        if self.present_ids().size == 0:
-            return
         capacity = present.size
         # Refresh T_l of connected rows by stamping ids directly — no
         # membership mask.  Stamping an *absent* row is harmless: its
@@ -526,6 +533,7 @@ class InterestTable:
                 # memoised sum/classification keyed on :attr:`version`
                 # is still exact — the version deliberately does NOT
                 # move (both paths).
+                self._stamped = (now, self.version, self._members_version)
                 return
             self.version += 1
             old_l = weight[stale_ids].tolist()
@@ -548,10 +556,15 @@ class InterestTable:
                 weight[dead_ids] = 0.0
                 present[dead_ids] = False
                 self._members_version += 1
+                if len(dead_ids) == len(stale_ids):
+                    self._stamped = (
+                        now, self.version, self._members_version
+                    )
             return
         elapsed = now - last[rows]
         stale = elapsed > 0.0
         if not stale.any():
+            self._stamped = (now, self.version, self._members_version)
             return
         self.version += 1
         stale_rows = rows[stale]
@@ -571,6 +584,8 @@ class InterestTable:
             weight[dead_rows] = 0.0
             present[dead_rows] = False
             self._members_version += 1
+            if dead.all():
+                self._stamped = (now, self.version, self._members_version)
 
     # ------------------------------------------------------------------
     # Algorithm 2: growth
@@ -803,6 +818,51 @@ class InterestStore:
     # ------------------------------------------------------------------
     # Batched tick operations
     # ------------------------------------------------------------------
+    def _decay_block(
+        self,
+        rows: np.ndarray,
+        connected: np.ndarray,
+        now: float,
+        beta: float,
+        prune_below: float,
+    ) -> Tuple[np.ndarray, ...]:
+        """Algorithm 1 over ``rows``, computed without writing anything.
+
+        Returns ``(W, P, L, stale, new_w, prune)``, each ``(len(rows),
+        columns)``: current weights and presence, ``T_l`` after
+        stamping, the stale mask, the decayed weights and the prune
+        mask.
+        """
+        W = self._w[rows]
+        D = self._d[rows]
+        P = self._p[rows]
+        L = np.where(connected, now, self._l[rows])
+        elapsed = now - L
+        stale = P & (elapsed > 0.0)
+        denominator = np.maximum(beta * elapsed, 1.0)
+        half = D * 0.5
+        decayed = (W - half) / denominator + half
+        prune = stale & ~D & (decayed < prune_below)
+        new_w = np.where(stale, decayed, W)
+        new_w[prune] = 0.0
+        return W, P, L, stale, new_w, prune
+
+    def decay_changes(
+        self,
+        rows: np.ndarray,
+        connected: np.ndarray,
+        now: float,
+        *,
+        beta: float,
+        prune_below: float = 1e-3,
+    ) -> np.ndarray:
+        """Per row, whether :meth:`batch_decay` with these arguments
+        would change a weight or prune a row (writes nothing)."""
+        W, _, _, _, new_w, prune = self._decay_block(
+            rows, connected, now, beta, prune_below
+        )
+        return ((new_w != W) | prune).any(axis=1)
+
     def batch_decay(
         self,
         rows: np.ndarray,
@@ -817,9 +877,7 @@ class InterestStore:
         Args:
             rows: Store rows to decay.  The caller guarantees they are
                 pairwise non-interfering (no row is another's connected
-                peer) and that each has at least one present column —
-                the per-table path early-returns (no stamp, no version
-                bump) on empty tables, so empty rows must not be here.
+                peer).
             connected: ``(len(rows), columns)`` bool mask of keyword
                 columns held by each row's currently-connected peers.
             now: Current time ``T_c``.
@@ -829,32 +887,27 @@ class InterestStore:
         Per element this evaluates exactly the per-table expression
         (stamp connected ``T_l`` first, ``(w - half)/max(beta·dt, 1) +
         half``, prune transients below the threshold), so the floats
-        are bit-identical to ``InterestTable.decay``.
+        are bit-identical to ``InterestTable.decay``, and rows it leaves
+        fully stamped are recorded the same way.
         """
-        W = self._w[rows]
-        D = self._d[rows]
-        P = self._p[rows]
-        L = np.where(connected, now, self._l[rows])
-        elapsed = now - L
-        stale = P & (elapsed > 0.0)
-        denominator = np.maximum(beta * elapsed, 1.0)
-        half = D * 0.5
-        decayed = (W - half) / denominator + half
-        prune = stale & ~D & (decayed < prune_below)
-        new_w = np.where(stale, decayed, W)
-        new_w[prune] = 0.0
+        _, P, L, stale, new_w, prune = self._decay_block(
+            rows, connected, now, beta, prune_below
+        )
         self._w[rows] = new_w
         self._l[rows] = L
         self._p[rows] = P & ~prune
-        stale_any = stale.any(axis=1)
-        prune_any = prune.any(axis=1)
+        stale_any = stale.any(axis=1).tolist()
+        prune_any = prune.any(axis=1).tolist()
+        settled = (~(stale & ~prune).any(axis=1)).tolist()
         tables = self._tables
         for k, row in enumerate(rows.tolist()):
+            table = tables[row]
             if stale_any[k]:
-                table = tables[row]
                 table.version += 1
                 if prune_any[k]:
                     table._members_version += 1
+            if settled[k]:
+                table._stamped = (now, table.version, table._members_version)
 
     def batch_grow_pairs(
         self,
@@ -1015,9 +1068,9 @@ class ChitChatRouter(Router):
         self._tables: Dict[int, InterestTable] = {}
         #: Fused [node × keyword] store; every table is one of its rows.
         self._store = InterestStore(self.keyword_index)
-        #: ``(pair, node)`` decay sides already run (or proven no-ops)
-        #: by :meth:`prepare_contact_batch` this tick;
-        #: ``run_rtsr_decay`` consumes and skips them side by side.
+        #: ``(pair, node)`` decay sides already run by
+        #: :meth:`prepare_contact_batch` this tick; ``run_rtsr_decay``
+        #: consumes and skips them side by side.
         self._predecayed: Set[Tuple[Tuple[int, int], int]] = set()
         # Interned memo keys: ordered keyword sequence -> small int.
         # Messages cache their key in ``_memo_key`` (invalidated on
@@ -1039,33 +1092,6 @@ class ChitChatRouter(Router):
         # that re-originates a uuid after churn starts with a fresh
         # budget (see on_message_expired / _prune_retries).
         self._retry_counts: Dict[str, Dict[int, int]] = {}
-        # Selections precomputed by the tick batcher:
-        # (sender, receiver) -> (tick time, select_messages result).
-        # Consumed (popped) by select_messages; the time stamp guards
-        # against an entry leaking past its contact-up event.
-        self._preselected: Dict[
-            Tuple[int, int], Tuple[float, List[Tuple[Message, str]]]
-        ] = {}
-        # Per-sender buffer snapshots for the batched selection:
-        # node id -> (buffer mutation counter, (messages, uuids, sizes,
-        # uuid ranks, memo keys) as parallel lists in buffer order).
-        # Keying on the mutation counter is sound because annotations —
-        # the only other way a buffered message's selection identity
-        # can change — happen only in the same event as (and after)
-        # the buffer.add that bumped the counter, never between a
-        # snapshot build and its use (snapshots are built and consumed
-        # inside contact-up events; enrichment runs in
-        # transfer-completion events).
-        self._buffer_snaps: Dict[
-            int,
-            Tuple[
-                int,
-                Tuple[
-                    List[Message], List[str], List[int],
-                    List[int], List[int],
-                ],
-            ],
-        ] = {}
         # Memoised interest sums and destination/relay roles: node id ->
         # (table version at compute time, {memo key -> S},
         # {memo key -> role}).  A node's whole cache is discarded the
@@ -1184,7 +1210,13 @@ class ChitChatRouter(Router):
         return parts
 
     def run_rtsr_decay(self, link: Link) -> None:
-        """Phase one of the weight exchange: decay on both endpoints."""
+        """Phase one of the weight exchange: decay on both endpoints.
+
+        A side is skipped when :meth:`prepare_contact_batch` already
+        ran it, or when its table is still fully stamped at ``now``:
+        the decay would only re-stamp ``T_l`` and find nothing stale
+        (the proof is in DESIGN.md §9).
+        """
         predecayed = self._predecayed
         now = self.world.now
         pair = link.pair
@@ -1193,13 +1225,14 @@ class ChitChatRouter(Router):
                 key = (pair, node_id)
                 if key in predecayed:
                     # prepare_contact_batch already ran this side's
-                    # decay (in the batched form, bit-identical) or
-                    # proved it a no-op; don't decay twice.
+                    # decay (in the batched form, bit-identical); don't
+                    # decay twice.
                     predecayed.discard(key)
                     continue
-            self.table(node_id).decay(
-                now, self._connected_ids(node_id), beta=self.beta
-            )
+            table = self.table(node_id)
+            if table._stamped == (now, table.version, table._members_version):
+                continue
+            table.decay(now, self._connected_ids(node_id), beta=self.beta)
 
     def run_rtsr_growth(self, link: Link, elapsed: float) -> None:
         """Phase three: growth on both endpoints from the peer's table."""
@@ -1274,15 +1307,6 @@ class ChitChatRouter(Router):
             first, then relays by descending receiver interest strength
             (so the most valuable transfers survive short contacts).
         """
-        pre = self._preselected
-        if pre:
-            entry = pre.pop((sender_id, receiver_id), None)
-            if entry is not None and entry[0] == self.world.now:
-                # Precomputed by _preselect in this tick's batch hook;
-                # the stamp check discards anything that somehow
-                # outlived its contact-up event (e.g. an admitted pair
-                # whose exchange a subclass suppressed).
-                return entry[1]
         sender = self.world.node(sender_id)
         if len(sender.buffer) == 0:
             return []
@@ -1396,33 +1420,29 @@ class ChitChatRouter(Router):
         (second and later occurrences of the same node) sequentially at
         their legacy per-pair point.
 
-        Why first occurrences are always batchable: a node's table is
-        read between its own decays only by the message exchanges of
-        its *own* earlier pairs (interest sums), and before its first
-        pair of the tick it has none — so its first decay commutes from
-        its legacy position to the head of the tick.  Its stamp mask —
-        the open peers' membership the per-pair path reads through
-        ``_connected_ids`` — is its tick-start open peers plus its
-        first partner, all known up front.  Membership only *shrinks*
-        during an up tick (growth and subscriptions happen elsewhere),
-        and the single shrinking operation is the decay prune — so the
-        one ordering hazard is a row pruning mid-tick, which would make
-        a neighbour's mask depend on where in the tick it is read.
-        Nodes that could prune are found up front by a conservative
-        vectorised test (lightest transient weight under twice the
-        prune threshold times the node's largest possible divisor
-        raised to its pair count this tick — a 2x margin over the
-        sequential-division drift, bounded rowwise from below); they
-        and every batch node reading their membership (partners and
-        tick-start open neighbours) fall back to the exact sequential
-        path.  Measured, this sends 27% of decay sides to the sequential
-        path on the ``paper`` benchmark workload, 75% on ``city10k``
-        (10 sim-min) and 68% on ``hetero_audit`` (bench/README.md).
-
-        Empty tables are a special case on both paths: the per-table
-        decay early-returns on them (no stamp, no version bump), and
-        membership cannot appear during an up tick, so *all* their
-        sides are marked as done without running anything.
+        Why a first decay commutes to the head of the tick (DESIGN.md
+        §9): a node's weights are read by the exchanges of its own
+        pairs, none of which precedes its first pair, and by the offers
+        of pairs whose sender has it as an open peer.  A link opened
+        earlier in the tick ends at a node whose first decay precedes
+        the read either way; a *tick-start* open peer of an earlier
+        pair's endpoint is kept out of the batch when its batched decay
+        would change a weight or prune, and decays at its sequential
+        point.  A batched node's stamp mask — the open peers'
+        membership the per-pair path reads through ``_connected_ids``
+        — is its tick-start open peers plus its first partner, all
+        known up front.  Membership only
+        *shrinks* during an up tick (growth and subscriptions happen
+        elsewhere), and the single shrinking operation is the decay
+        prune — so a row pruning mid-tick would make a neighbour's mask
+        depend on where in the tick it is read.  Nodes that could prune
+        are found up front by a conservative vectorised test (lightest
+        transient weight under twice the prune threshold times the
+        node's largest possible divisor raised to its pair count this
+        tick — a 2x margin over the sequential-division drift, bounded
+        rowwise from below); they and every batch node reading their
+        membership (partners and tick-start open neighbours) fall back
+        to the exact sequential path.
         """
         store = self._store
         predecayed = self._predecayed
@@ -1451,29 +1471,26 @@ class ChitChatRouter(Router):
         # Materialise every table this tick's decays would create (the
         # per-pair path creates partner and open-peer tables inside
         # ``_connected_ids``; fresh-table contents do not depend on
-        # creation order within the tick) and collect each batch
-        # node's tick-start open-peer rows once.
+        # creation order within the tick) and collect each node's
+        # tick-start open peers once.
         tables = self._tables
-        tables_get = tables.get
-        start_peer_rows: Dict[int, List[int]] = {}
+        start_peers: Dict[int, List[int]] = {}
         for node in occurrences:
             if node not in tables:
                 table(node)
-            rows = []
-            for link in open_links(node):
-                peer = link.b if link.a == node else link.a
-                peer_table = tables_get(peer)
-                if peer_table is None:
-                    peer_table = table(peer)
-                rows.append(peer_table._row)
-            start_peer_rows[node] = rows
+            peers = [
+                link.b if link.a == node else link.a
+                for link in open_links(node)
+            ]
+            for peer in peers:
+                if peer not in tables:
+                    table(peer)
+            start_peers[node] = peers
         nodes = list(occurrences)
         n_nodes = len(nodes)
         node_rows = np.fromiter(
             (tables[n]._row for n in nodes), dtype=np.intp, count=n_nodes
         )
-        presence = store._p[node_rows]
-        present_any = presence.any(axis=1)
         # Conservative prune risk as row scalars: a node can prune only
         # if its lightest transient weight divided by its *largest*
         # possible per-tick divisor, applied once per occurrence, dips
@@ -1481,7 +1498,7 @@ class ChitChatRouter(Router):
         # per-element test (weight / den**k per keyword) from below, so
         # it only ever demotes more — and keeps the matrix maths to
         # two masked reductions instead of a dense power.
-        transient = presence & ~store._d[node_rows]
+        transient = store._p[node_rows] & ~store._d[node_rows]
         wmin = np.where(
             transient, store._w[node_rows], np.inf
         ).min(axis=1)
@@ -1500,346 +1517,60 @@ class ChitChatRouter(Router):
             for n in pruny:
                 for _pair, partner in occurrences[n]:
                     tainted.add(partner)
-            pruny_rows = {int(tables[n]._row) for n in pruny}
             for n in nodes:
-                if n in tainted:
-                    continue
-                for row in start_peer_rows[n]:
-                    if row in pruny_rows:
-                        tainted.add(n)
-                        break
+                if n not in tainted and not pruny.isdisjoint(start_peers[n]):
+                    tainted.add(n)
+        # Rank in first-appearance order.  A tick-start open peer never
+        # shares a pair with the node (admission refuses a live link),
+        # so a lower rank means an earlier first pair.
+        rank = {n: i for i, n in enumerate(nodes)}
         batch_idx: List[int] = []
+        # Positions in batch_idx of nodes an earlier pair's offers read
+        # through a tick-start open link.
+        watched: List[int] = []
         flat_peer_rows: List[int] = []
         starts: List[int] = []
-        present_list = present_any.tolist()
-        predecayed_add = predecayed.add
-        for i in range(n_nodes):
-            n = nodes[i]
-            occ = occurrences[n]
-            if not present_list[i]:
-                for pair, _partner in occ:
-                    predecayed_add((pair, n))
-                continue
+        for i, n in enumerate(nodes):
             if n in tainted:
                 continue
+            peers = start_peers[n]
+            if any(rank.get(p, n_nodes) < i for p in peers):
+                watched.append(len(batch_idx))
             batch_idx.append(i)
-            predecayed_add((occ[0][0], n))
             # Stamp mask sources: tick-start open peers, then the first
             # partner (whose link exists by the time the per-pair path
             # would have read it).
             starts.append(len(flat_peer_rows))
-            flat_peer_rows.extend(start_peer_rows[n])
-            flat_peer_rows.append(int(tables[occ[0][1]]._row))
-        if batch_idx:
-            # Segment-OR the gathered peer membership rows into one
-            # connected mask per batched node (every segment is
-            # non-empty: the first partner is always there).
-            gathered = store._p[
-                np.asarray(flat_peer_rows, dtype=np.intp)
-            ]
-            connected = np.logical_or.reduceat(
-                gathered, np.asarray(starts, dtype=np.intp), axis=0
-            )
-            store.batch_decay(
-                node_rows[np.asarray(batch_idx, dtype=np.intp)],
-                connected, now, beta=beta,
-            )
-        self._preselect(pairs, now)
-
-    def _buffer_entries(
-        self, node
-    ) -> Tuple[
-        List[Message], List[str], List[int], List[int], List[int]
-    ]:
-        """Snapshot of ``node``'s buffer for the batched selection.
-
-        Parallel lists ``(messages, uuids, sizes, ranks, keys)`` in
-        buffer (arrival) order; rank is the message's position in the
-        uuid-sorted order of this buffer, which is all the global
-        lexsort needs to replay the ``(-strength, uuid)`` tiebreak —
-        ties can only form between messages of the same buffer — and
-        ``keys`` are the interned memo keys (interning here keeps the
-        per-side hot loop free of attribute checks).  Cached on
-        :attr:`MessageBuffer.mutations`, valid because uuid/size/
-        keywords are immutable and annotation (which the counter
-        ignores) never touches them.
-        """
-        buffer = node.buffer
-        token = buffer.mutations
-        snap = self._buffer_snaps.get(node.node_id)
-        if snap is not None and snap[0] == token:
-            return snap[1]
-        messages = buffer.messages()
-        by_uuid = sorted(range(len(messages)), key=lambda i: messages[i].uuid)
-        ranks = [0] * len(messages)
-        for rank, i in enumerate(by_uuid):
-            ranks[i] = rank
-        intern_key = self._intern_key
-        entry = (
-            messages,
-            [m.uuid for m in messages],
-            [m.size for m in messages],
-            ranks,
-            [
-                m._memo_key if m._memo_key is not None else intern_key(m)
-                for m in messages
-            ],
+            flat_peer_rows.extend(tables[p]._row for p in peers)
+            flat_peer_rows.append(tables[occurrences[n][0][1]]._row)
+        if not batch_idx:
+            return
+        # Segment-OR the gathered peer membership rows into one
+        # connected mask per batched node (every segment is non-empty:
+        # the first partner is always there).
+        gathered = store._p[np.asarray(flat_peer_rows, dtype=np.intp)]
+        connected = np.logical_or.reduceat(
+            gathered, np.asarray(starts, dtype=np.intp), axis=0
         )
-        self._buffer_snaps[node.node_id] = (token, entry)
-        return entry
-
-    def _preselect(self, pairs: List[Tuple[int, int]], now: float) -> None:
-        """Precompute ``select_messages`` for every provably-safe side.
-
-        Runs at the tail of :meth:`prepare_contact_batch`, after the
-        batched decay.  A pair is safe when *both* its sides are in
-        ``_predecayed`` — each endpoint's table is then final for the
-        tick by the time that pair's exchange runs (its only decay of
-        the tick already happened here, or it is empty and decay is a
-        no-op), and everything else ``select_messages`` reads is frozen
-        for the whole up tick: buffers, seen-sets and capacities only
-        change in transfer-completion events (``send_message`` just
-        queues), and the whole tick's opens run inside one engine
-        callback.  So computing all safe sides now, against the same
-        state their sequential calls would see, is bit-identical — and
-        lets candidate filtering, interest sums, classification and the
-        ``(-strength, uuid)`` ordering run as one fused pass instead of
-        two table gathers and two Python sorts per pair.
-
-        Unsafe sides (multi-occurrence or prune-tainted nodes) are
-        simply not stored; their ``select_messages`` calls take the
-        sequential path unchanged.
-        """
-        preselected = self._preselected
-        preselected.clear()
-        predecayed = self._predecayed
-        store = self._store
-        world = self.world
-        node_of = world.node
-        message_ids = self._message_ids
-        sum_cache = self._sum_cache
-        table = self.table
-
-        # Per-node memo dicts, version-checked once per tick (versions
-        # cannot move between here and the safe pairs' exchanges).
-        caches: Dict[int, Tuple[Dict[int, float], Dict[int, str]]] = {}
-
-        def memo_for(node_id: int) -> Tuple[Dict[int, float], Dict[int, str]]:
-            entry = caches.get(node_id)
-            if entry is None:
-                t = table(node_id)
-                cached = sum_cache.get(node_id)
-                if cached is None or cached[0] != t.version:
-                    cached = (t.version, {}, {})
-                    sum_cache[node_id] = cached
-                entry = (cached[1], cached[2])
-                caches[node_id] = entry
-            return entry
-
-        # Unified slot table: one ``(value, is-destination)`` entry per
-        # needed table read, so the keep/order decision below is pure
-        # array gathers.  Warm entries copy the memo value at creation;
-        # cold ones queue a fused-store gather request and are filled
-        # (and written back to the memos) after the batch compute.
-        # Receiver- and sender-space slots are indexed separately — a
-        # receiver slot needs the sum *and* the role warm, a sender
-        # slot only the sum — so one node can occupy a slot in each
-        # space for the same key; the cold recompute is bit-identical
-        # and the memo writeback idempotent, exactly like the
-        # sequential path's "harmless extra memo entries".
-        rslot_index: Dict[Tuple[int, int], int] = {}
-        sslot_index: Dict[Tuple[int, int], int] = {}
-        slot_vals: List[float] = []
-        slot_dest: List[bool] = []
-        req_slots: List[int] = []
-        req_rows: List[int] = []
-        req_keys: List[int] = []
-        req_sums: List[Dict[int, float]] = []
-        req_roles: List[Dict[int, str]] = []
-        key_slots: Dict[int, List[int]] = {}
-        key_ids: Dict[int, np.ndarray] = {}
-
-        sides: List[Tuple[int, int]] = []
-        flat_side: List[int] = []
-        flat_rank: List[int] = []
-        flat_rslot: List[int] = []
-        flat_sslot: List[int] = []
-        flat_msg: List[Message] = []
-        append_side = flat_side.append
-        append_rank = flat_rank.append
-        append_rs = flat_rslot.append
-        append_ss = flat_sslot.append
-        append_msg = flat_msg.append
-
-        for pair in pairs:
-            a, b = pair
-            if (pair, a) not in predecayed or (pair, b) not in predecayed:
-                continue
-            for sender_id, receiver_id in ((a, b), (b, a)):
-                side = len(sides)
-                sides.append((sender_id, receiver_id))
-                messages, uuids, sizes, ranks, keys = self._buffer_entries(
-                    node_of(sender_id)
-                )
-                if not messages:
-                    continue
-                receiver = node_of(receiver_id)
-                seen = receiver.seen
-                receiver_capacity = receiver.buffer.capacity
-                sums_r, roles_r = memo_for(receiver_id)
-                sums_s, roles_s = memo_for(sender_id)
-                recv_row = table(receiver_id)._row
-                send_row = table(sender_id)._row
-                local: Dict[int, Tuple[int, int]] = {}
-                local_get = local.get
-                for i, uuid in enumerate(uuids):
-                    if uuid in seen or sizes[i] > receiver_capacity:
-                        continue
-                    key = keys[i]
-                    slots = local_get(key)
-                    if slots is None:
-                        rs = rslot_index.get((receiver_id, key))
-                        if rs is None:
-                            rs = len(slot_vals)
-                            rslot_index[(receiver_id, key)] = rs
-                            if key in sums_r and key in roles_r:
-                                slot_vals.append(sums_r[key])
-                                slot_dest.append(
-                                    roles_r[key] == "destination"
-                                )
-                            else:
-                                slot_vals.append(0.0)
-                                slot_dest.append(False)
-                                req_slots.append(rs)
-                                req_rows.append(recv_row)
-                                req_keys.append(key)
-                                req_sums.append(sums_r)
-                                req_roles.append(roles_r)
-                                if key not in key_ids:
-                                    key_ids[key] = message_ids(
-                                        messages[i], key
-                                    )
-                                key_slots.setdefault(key, []).append(
-                                    len(req_rows) - 1
-                                )
-                        ss = sslot_index.get((sender_id, key))
-                        if ss is None:
-                            ss = len(slot_vals)
-                            sslot_index[(sender_id, key)] = ss
-                            if key in sums_s:
-                                slot_vals.append(sums_s[key])
-                                slot_dest.append(False)
-                            else:
-                                slot_vals.append(0.0)
-                                slot_dest.append(False)
-                                req_slots.append(ss)
-                                req_rows.append(send_row)
-                                req_keys.append(key)
-                                req_sums.append(sums_s)
-                                req_roles.append(roles_s)
-                                if key not in key_ids:
-                                    key_ids[key] = message_ids(
-                                        messages[i], key
-                                    )
-                                key_slots.setdefault(key, []).append(
-                                    len(req_rows) - 1
-                                )
-                        local[key] = slots = (rs, ss)
-                    append_side(side)
-                    append_rank(ranks[i])
-                    append_rs(slots[0])
-                    append_ss(slots[1])
-                    append_msg(messages[i])
-
-        if req_rows:
-            kmax = max(key_ids[key].size for key in key_slots)
-            n_req = len(req_rows)
-            if kmax == 0:
-                sums_list = [0] * n_req
-                dest_list = [False] * n_req
-            else:
-                ids_mat = np.zeros((n_req, kmax), dtype=np.int64)
-                valid = np.zeros((n_req, kmax), dtype=bool)
-                empty_reqs: List[int] = []
-                for key, slots in key_slots.items():
-                    ids = key_ids[key]
-                    n = ids.size
-                    if n == 0:
-                        empty_reqs.extend(slots)
-                        continue
-                    ids_mat[slots, :n] = ids
-                    valid[slots, :n] = True
-                rows_arr = np.asarray(req_rows, dtype=np.intp)
-                # Mirrors sum_for_ids/any_direct_ids exactly: ids at or
-                # beyond the column capacity contribute weight 0.0 and
-                # direct False; the accumulation is left-to-right with
-                # trailing 0.0 padding, which never moves an IEEE sum
-                # (weights are never -0.0).
-                eff = valid & (ids_mat < store.columns)
-                safe_ids = np.where(eff, ids_mat, 0)
-                Wm = store._w[rows_arr[:, None], safe_ids]
-                Wm[~eff] = 0.0
-                acc = Wm[:, 0]
-                for j in range(1, kmax):
-                    acc = acc + Wm[:, j]
-                dest = (
-                    store._p[rows_arr[:, None], safe_ids]
-                    & store._d[rows_arr[:, None], safe_ids]
-                    & eff
-                ).any(axis=1)
-                sums_list = acc.tolist()
-                dest_list = dest.tolist()
-                for pos in empty_reqs:
-                    # sum_for_ids returns the int 0 for an empty id
-                    # array — preserve the exact memo contents.
-                    sums_list[pos] = 0
-                    dest_list[pos] = False
-            for pos in range(n_req):
-                value = sums_list[pos]
-                is_dest = dest_list[pos]
-                key = req_keys[pos]
-                req_sums[pos][key] = value
-                req_roles[pos][key] = (
-                    "destination" if is_dest else "relay"
-                )
-                slot = req_slots[pos]
-                slot_vals[slot] = value
-                slot_dest[slot] = is_dest
-
-        results: List[List[Tuple[Message, str]]] = [[] for _ in sides]
-        if flat_msg:
-            vals = np.asarray(slot_vals, dtype=np.float64)
-            dests = np.asarray(slot_dest, dtype=bool)
-            rs_arr = np.asarray(flat_rslot, dtype=np.intp)
-            S_r = vals[rs_arr]
-            dest_flags = dests[rs_arr]
-            keep = dest_flags | (
-                S_r > vals[np.asarray(flat_sslot, dtype=np.intp)]
-            )
-            kept = np.flatnonzero(keep)
-            if kept.size:
-                # One global lexsort replays every side's two sequential
-                # sorts: primary = side, then destinations before
-                # relays, then descending strength, then the uuid rank
-                # (ranks are per-buffer, but ties only form within one
-                # side's buffer).  -0.0 vs 0.0 compare equal in both
-                # sorts, so the negation is safe.
-                side_arr = np.asarray(flat_side, dtype=np.intp)
-                rank_arr = np.asarray(flat_rank, dtype=np.int64)
-                order = np.lexsort((
-                    rank_arr[kept],
-                    -S_r[kept],
-                    ~dest_flags[kept],
-                    side_arr[kept],
-                ))
-                dflags = dest_flags.tolist()
-                for idx in kept[order].tolist():
-                    results[flat_side[idx]].append((
-                        flat_msg[idx],
-                        "destination" if dflags[idx] else "relay",
-                    ))
-        for i, side_pair in enumerate(sides):
-            preselected[side_pair] = (now, results[i])
+        rows = node_rows[batch_idx]
+        if watched:
+            # Open-peer read rule: a watched node whose decay would
+            # change a weight or prune a row decays at its sequential
+            # point instead.
+            w = np.asarray(watched, dtype=np.intp)
+            moves = store.decay_changes(rows[w], connected[w], now, beta=beta)
+            if moves.any():
+                keep = np.ones(len(batch_idx), dtype=bool)
+                keep[w[moves]] = False
+                rows = rows[keep]
+                connected = connected[keep]
+                batch_idx = [
+                    i for i, kept in zip(batch_idx, keep.tolist()) if kept
+                ]
+        for i in batch_idx:
+            n = nodes[i]
+            predecayed.add((occurrences[n][0][0], n))
+        store.batch_decay(rows, connected, now, beta=beta)
 
     def on_contact_start(self, link: Link) -> None:
         self.prepare_contact(link)
@@ -2034,15 +1765,13 @@ class ChitChatRouter(Router):
         exactly why the memo entries *must* go: a pre-crash memo keyed
         at version ``V`` would collide with the restarted table once it
         has taken ``V`` updates, serving sums for weights that no
-        longer exist.  The buffer snapshot cache goes for the same
-        reason (the mutation counter keeps counting across the wipe,
-        but snapshot entries hold pre-crash message objects).
+        longer exist.  The reset clears the table's fully-stamped
+        record for the same reason.
         """
         table = self._tables.get(node_id)
         if table is not None:
             table.reset(self.world.node(node_id).interests, self.world.now)
         self._sum_cache.pop(node_id, None)
-        self._buffer_snaps.pop(node_id, None)
 
     def _reoffer(
         self, link: Link, sender_id: int, receiver_id: int, message: Message

@@ -205,6 +205,5 @@ class MinorityGameChitChat(ChitChatRouter):
         if self.participates(sender_id) and self.participates(receiver_id):
             return selected
         # Defection withdraws relaying only: destination deliveries
-        # keep flowing (the batched _preselected entry was consumed by
-        # the super() call, so the filter composes with tick batching).
+        # keep flowing.
         return [pair for pair in selected if pair[1] == "destination"]

@@ -1,12 +1,14 @@
-"""Batched buffer selection & grouped gossip: equivalence and lifecycle.
+"""Batched contact ticks & grouped gossip: equivalence and lifecycle.
 
-Property tests (Hypothesis) pinning the two per-tick batched fast
-paths introduced for the 10k tier to their sequential references:
+Tests pinning the per-tick batched paths to their sequential
+references:
 
-* ``ChitChatRouter._preselect`` — the fused candidate-filter /
-  interest-sum / classification / lexsort pass — must return, for every
-  side it stores, exactly what a sequential ``select_messages`` call
-  would, including the ``(-strength, uuid)`` tiebreak order.
+* The batched up tick (``World._run_up_batch`` handing the tick to
+  ``prepare_contact_batch``) must produce the same event trace as the
+  per-pair tick a router without ``supports_contact_batching`` gets —
+  on whole scenario runs, and on the 4-node tick where hoisting a
+  tick-start open peer's decay once changed an offer (DESIGN.md §9,
+  open-peer read rule).
 * ``ReputationSystem.exchange_batch`` — the grouped searchsorted merge
   over all safe pairs of a tick — must leave every book bit-identical
   to pairwise ``exchange`` calls, never share storage between books
@@ -22,13 +24,17 @@ Exact ``==`` on floats and exact list equality throughout: the batched
 forms evaluate the same IEEE expressions, so drift is a bug.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import protocol
 from repro.core.incentive import IncentiveParams
-from repro.core.reputation import ReputationSystem
+from repro.core.incentive_layer import IncentiveLayer
+from repro.core.reputation import RatingModel, ReputationSystem
 from repro.faults import FaultConfig
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
@@ -37,153 +43,114 @@ from repro.network.world import World
 from repro.routing.chitchat import ChitChatRouter
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
+from repro.trace.recorder import TraceRecorder
 
 from tests.helpers import make_message, make_world
-
-KEYWORDS = [f"k{i}" for i in range(8)]
-N_NODES = 6
+from tests.test_world_soa_differential import normalise
 
 
 # ----------------------------------------------------------------------
-# Batched selection vs sequential select_messages
+# Batched tick vs per-pair tick
 # ----------------------------------------------------------------------
-@st.composite
-def selection_scenarios(draw):
-    """Random interests, weights, buffers, seen-sets and a pair list."""
-    interests = [
-        draw(st.lists(st.sampled_from(KEYWORDS), min_size=1, max_size=3,
-                      unique=True))
-        for _ in range(N_NODES)
-    ]
-    # Extra transient/direct weights poked straight into the tables, so
-    # sums and classifications vary beyond the 0.5-direct seeds (ties
-    # stay common — good: they exercise the uuid-rank tiebreak).
-    weights = [
-        {
-            keyword: (
-                draw(st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.7])),
-                draw(st.booleans()),
-            )
-            for keyword in draw(st.lists(st.sampled_from(KEYWORDS),
-                                         max_size=4, unique=True))
-        }
-        for _ in range(N_NODES)
-    ]
-    capacities = [
-        draw(st.sampled_from([3_000, 1_000_000])) for _ in range(N_NODES)
-    ]
-    n_messages = draw(st.integers(min_value=0, max_value=12))
-    messages = [
-        (
-            draw(st.integers(min_value=0, max_value=N_NODES - 1)),
-            tuple(draw(st.lists(st.sampled_from(KEYWORDS), max_size=3,
-                                unique=True))),
-            draw(st.sampled_from([1_000, 5_000])),
-        )
-        for _ in range(n_messages)
-    ]
-    seen = [
-        (
-            draw(st.integers(min_value=0, max_value=N_NODES - 1)),
-            draw(st.integers(min_value=0, max_value=max(n_messages - 1, 0))),
-        )
-        for _ in range(draw(st.integers(min_value=0, max_value=8)))
-    ]
-    n_pairs = draw(st.integers(min_value=0, max_value=6))
-    pairs = []
-    for _ in range(n_pairs):
-        a = draw(st.integers(min_value=0, max_value=N_NODES - 1))
-        b = draw(st.integers(min_value=0, max_value=N_NODES - 1))
-        if a != b:
-            pairs.append((a, b) if a < b else (b, a))
-    return interests, weights, capacities, messages, seen, pairs
+class _PerPairChitChat(ChitChatRouter):
+    """ChitChat without the batch hooks: the world runs every tick pair
+    by pair (``World._run_up_batch``'s per-pair branch)."""
+
+    supports_contact_batching = False
 
 
-def _build(interests, weights, capacities, messages, seen):
-    """One world + bound ChitChat router over the drawn state."""
-    nodes = [
-        Node(i, interests[i], buffer_capacity=capacities[i])
-        for i in range(N_NODES)
-    ]
-    router = ChitChatRouter()
-    world = World(
-        Engine(), nodes, router,
-        link_speed=1_000.0, streams=RandomStreams(3),
+class _Records(TraceRecorder):
+    """Keeps every trace record in memory."""
+
+    enabled = True
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(dict(record))
+
+
+def _seed_transient(table, keyword, weight, last_contact):
+    """Poke one transient row, moving the version so memos refresh."""
+    keyword_id = table._slot(keyword)
+    table._weight[keyword_id] = weight
+    table._direct[keyword_id] = False
+    table._last[keyword_id] = last_contact
+    table._present[keyword_id] = True
+    table._members_version += 1
+    table.version += 1
+
+
+def _open_peer_tick(substrate):
+    """The trace of one tick where ``s``'s offer reads its open peer ``q``.
+
+    Link ``s``–``q`` is open when the tick ``[(s, v), (q, x)]`` starts.
+    ``q`` holds the message's only keyword as a transient at 0.4, last
+    stamped 1,000 s ago; ``v`` holds it at 0.3, fresh; ``s`` and ``x``
+    hold nothing.  ``q``'s first pair comes after ``(s, v)``, so per
+    pair ``(s, v)``'s offer sees ``q`` undecayed and outbid.
+    """
+    s, v, q, x = 0, 1, 2, 3
+    params = IncentiveParams(initial_tokens=100.0)
+    router = IncentiveLayer(
+        substrate,
+        params=params,
+        rating_model=RatingModel(params, noise=0.0, confidence_low=1.0),
     )
-    for i in range(N_NODES):
-        table = router.table(i)
-        for keyword, (w, d) in weights[i].items():
-            kid = table._slot(keyword)
-            # Direct pokes keep version at 0 on both twins — the memo
-            # caches then agree without replaying a decay history.
-            table._weight[kid] = w
-            table._direct[kid] = bool(d) or bool(table._direct[kid])
-            table._present[kid] = True
-    for index, (holder, keywords, size) in enumerate(messages):
-        if size > capacities[holder]:
-            continue  # the holder itself could never have buffered it
-        message = make_message(
-            source=holder, size=size, keywords=keywords,
-            content=keywords or ("x",), uuid=f"m{index:03d}",
+    recorder = _Records()
+    world = World(
+        Engine(), [Node(i, []) for i in range(4)], router,
+        link_speed=1_000.0, streams=RandomStreams(7), trace=recorder,
+    )
+    world.inject_message(make_message(
+        source=s, size=100, keywords=("k",), content=("k",), uuid="m-open",
+    ))
+    world._run_up_batch([(s, q)])
+    world.engine.run_until(1_000.0)
+    _seed_transient(substrate.table(q), "k", 0.4, last_contact=0.0)
+    _seed_transient(substrate.table(v), "k", 0.3, last_contact=1_000.0)
+    world._run_up_batch([(s, v), (q, x)])
+    return recorder.records
+
+
+def test_open_peer_decay_stays_sequential():
+    per_pair = _open_peer_tick(_PerPairChitChat())
+    declined = [r for r in per_pair if r["type"] == "offer-declined"]
+    assert [r["reason"] for r in declined] == ["not-best-relay"]
+    assert _open_peer_tick(ChitChatRouter()) == per_pair
+
+
+def _trace_lines(path):
+    mapping = {}
+    with open(path, encoding="utf-8") as handle:
+        return [normalise(line.rstrip("\n"), mapping) for line in handle]
+
+
+@pytest.mark.parametrize("case", ("hetero", "churn-wipe"))
+def test_batched_tick_matches_per_pair_tick(case, tmp_path, monkeypatch):
+    """Whole runs: the batched tick and the per-pair tick trace alike."""
+    if case == "hetero":
+        config = ScenarioConfig.hetero(n_nodes=60, duration=900.0)
+        scheme = "incentive-chitchat-hetero"
+    else:
+        config = ScenarioConfig.tiny(
+            faults=FaultConfig(mean_uptime=600.0, mean_downtime=120.0)
         )
-        world.node(holder).buffer.add(message, now=0.0)
-    for node_id, message_index in seen:
-        if message_index < len(messages):
-            world.node(node_id).seen.add(f"m{message_index:03d}")
-    return world, router
-
-
-@given(selection_scenarios())
-@settings(max_examples=120, deadline=None)
-def test_preselect_matches_sequential(scenario):
-    interests, weights, capacities, messages, seen, pairs = scenario
-    world_a, router_a = _build(interests, weights, capacities, messages, seen)
-    world_b, router_b = _build(interests, weights, capacities, messages, seen)
-
-    router_a.prepare_contact_batch(pairs)
-    stored = dict(router_a._preselected)
-    # Every side of every safe pair must be stored (both directions).
-    for pair in pairs:
-        a, b = pair
-        if ((pair, a) in router_a._predecayed
-                and (pair, b) in router_a._predecayed):
-            assert (a, b) in stored and (b, a) in stored
-
-    for (sender, receiver) in stored:
-        batched = router_a.select_messages(sender, receiver)
-        sequential = router_b.select_messages(sender, receiver)
-        assert (
-            [(m.uuid, role) for m, role in batched]
-            == [(m.uuid, role) for m, role in sequential]
-        )
-    # Unsafe sides fall back to the sequential path on the batched
-    # router too — results must agree there as well.
-    for pair in pairs:
-        for sender, receiver in (pair, pair[::-1]):
-            if (sender, receiver) in stored:
-                continue
-            assert (
-                [(m.uuid, r) for m, r in
-                 router_a.select_messages(sender, receiver)]
-                == [(m.uuid, r) for m, r in
-                    router_b.select_messages(sender, receiver)]
-            )
-
-
-def test_preselect_consumed_once():
-    """A popped entry is gone: the second call takes the live path."""
-    interests = [["k0"], ["k1"]] + [["k2"]] * (N_NODES - 2)
-    weights = [{} for _ in range(N_NODES)]
-    capacities = [1_000_000] * N_NODES
-    messages = [(0, ("k1",), 1_000)]
-    world, router = _build(interests, weights, capacities, messages, [])
-    router.prepare_contact_batch([(0, 1)])
-    assert (0, 1) in router._preselected
-    first = router.select_messages(0, 1)
-    assert (0, 1) not in router._preselected
-    assert [(m.uuid, r) for m, r in router.select_messages(0, 1)] == [
-        (m.uuid, r) for m, r in first
-    ]
+        scheme = "incentive"
+    batched = tmp_path / "batched.jsonl"
+    run_scenario(config, scheme, seed=1, trace_path=str(batched))
+    # Both schemes build their substrate through this module name.
+    monkeypatch.setattr(protocol, "ChitChatRouter", _PerPairChitChat)
+    per_pair = tmp_path / "per-pair.jsonl"
+    result = run_scenario(config, scheme, seed=1, trace_path=str(per_pair))
+    assert isinstance(result.router.substrate, _PerPairChitChat)
+    lines = _trace_lines(batched)
+    if case == "churn-wipe":
+        assert any(
+            json.loads(line).get("wiped") is True for line in lines
+        ), "no churn wipe happened"
+    assert _trace_lines(per_pair) == lines
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from repro.routing.chitchat import (
     ChitChatRouter,
     InterestRecord,
     InterestStore,
+    InterestTable,
     KeywordIndex,
     psi_case,
 )
@@ -339,6 +340,79 @@ class TestVersionTokenAndCaches:
         assert ids.tolist() == [table.index.get("flood")]
         assert weights.tolist() == [0.5]
         assert direct.tolist() == [True]
+
+
+class TestFullyStampedSkip:
+    """``run_rtsr_decay`` skips a decay that cannot change anything.
+
+    Nodes 0 and 1 meet at t=100.  Every interest of node 0 is held by
+    node 1, so 0's decay stamps all its rows and leaves the table fully
+    stamped; node 1's "fire" row is not stamped and gets divided.
+    """
+
+    def meet(self, monkeypatch):
+        router = ChitChatRouter()
+        world = make_world({0: ["flood"], 1: ["flood", "fire"]}, router)
+        router.table(0)
+        router.table(1)
+        world.engine.run_until(100.0)
+        world._contact_up((0, 1))
+        decayed = []
+        original = InterestTable.decay
+
+        def counting(table, *args, **kwargs):
+            decayed.append(table._row)
+            return original(table, *args, **kwargs)
+
+        monkeypatch.setattr(InterestTable, "decay", counting)
+        return router, world, world.link_between(0, 1), decayed
+
+    def test_second_decay_of_stamped_table_is_skipped(self, monkeypatch):
+        router, world, link, decayed = self.meet(monkeypatch)
+        router.run_rtsr_decay(link)
+        assert decayed == [router.table(1)._row]
+
+    def test_skip_leaves_table_byte_identical(self, monkeypatch):
+        states = []
+        for skip in (True, False):
+            router, world, link, decayed = self.meet(monkeypatch)
+            table = router.table(0)
+            if skip:
+                router.run_rtsr_decay(link)
+                assert table._row not in decayed
+            else:
+                table.decay(
+                    world.now, router._connected_ids(0), beta=router.beta
+                )
+            present = table._present.copy()
+            states.append((
+                table._weight.tobytes(), present.tobytes(),
+                table._last[present].tobytes(),
+                table.version, table._members_version,
+            ))
+        assert states[0] == states[1]
+
+    def test_divided_table_is_not_skipped(self, monkeypatch):
+        router, world, link, decayed = self.meet(monkeypatch)
+        table = router.table(1)
+        version = table.version
+        router.run_rtsr_decay(link)
+        assert table._row in decayed
+        assert table.version == version + 1
+
+    @pytest.mark.parametrize("mutation", ("growth", "add_direct", "reset"))
+    def test_mutation_invalidates_record(self, monkeypatch, mutation):
+        router, world, link, decayed = self.meet(monkeypatch)
+        table = router.table(0)
+        if mutation == "growth":
+            _grow(table, router.table(1), now=world.now, elapsed=50.0)
+        elif mutation == "add_direct":
+            table.add_direct("water", now=world.now)
+        else:
+            world.on_node_crashed(0, wipe_state=True)
+            assert table._stamped is None
+        router.run_rtsr_decay(link)
+        assert table._row in decayed
 
 
 class TestScalarVectorParity:
