@@ -12,7 +12,6 @@ Usage::
     repro-dtn trace contacts contacts.jsonl  # save a contact trace
     repro-dtn hetero         # 3-class population comparison + audit
     repro-dtn faults --losses 0 0.1 0.3 --churn --retransmissions 2
-    repro-dtn bench --quick --baseline benchmarks/BENCH_optimized.json
 
 Pass ``--paper-scale`` to use the full Table 5.1 scenario (500 nodes,
 24 simulated hours — expect minutes of wall-clock per run).
@@ -27,11 +26,10 @@ environment variable).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
-from pathlib import Path
 from typing import List, Optional
 
+from repro.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import (
     fig5_1_mdr_vs_selfish,
@@ -77,21 +75,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_schemes(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
-
     specs = all_specs()
     if args.tag is not None:
-        try:
-            wanted = set(tagged(args.tag))
-        except ConfigurationError:
-            # Exit non-zero with the full vocabulary: a typo in a
-            # script must fail loudly, not print an empty table.
-            print(
-                f"unknown scheme tag {args.tag!r}; known tags: "
-                + " ".join(sorted(KNOWN_TAGS)),
-                file=sys.stderr,
-            )
-            return 2
+        wanted = set(tagged(args.tag))
         specs = tuple(spec for spec in specs if spec.name in wanted)
     print(format_table(
         ["scheme", "tags", "description"],
@@ -287,234 +273,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _maybe_profile(args: argparse.Namespace, label: str):
-    """cProfile the suite when ``--profile``; dump pstats next to the
-    report.
-
-    The dump (``BENCH_<label>.pstats``) is the raw :mod:`pstats` format
-    — load it with ``python -m pstats`` or ``snakeviz`` — so the next
-    perf PR starts from measured hot paths instead of guesses.
-    """
-    if not getattr(args, "profile", False):
-        yield
-        return
-    import cProfile
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        yield
-    finally:
-        profiler.disable()
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        pstats_path = out / f"BENCH_{label}.pstats"
-        profiler.dump_stats(pstats_path)
-        print(f"wrote {pstats_path}")
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import (
-        compare,
-        load_report,
-        run_suite,
-        save_report,
-    )
-
-    if args.suite == "scale":
-        return _bench_scale(args)
-
-    label = args.label or ("quick" if args.quick else "full")
-    with _maybe_profile(args, label):
-        report = run_suite(
-            quick=args.quick,
-            rounds=args.rounds,
-            include_paper=not args.no_paper,
-        )
-    rows = [
-        [name, f"{data['mean'] * 1e3:.3f}", f"{data['stddev'] * 1e3:.3f}",
-         f"{data['best'] * 1e3:.3f}", f"{data['rounds']:.0f}"]
-        for name, data in sorted(report["benchmarks"].items())
-    ]
-    print(format_table(
-        ["benchmark", "mean (ms)", "stddev (ms)", "best (ms)", "rounds"],
-        rows,
-        title=f"bench label={label} "
-              f"calibration={report['machine']['calibration_seconds']:.4f}s",
-    ))
-    path = save_report(report, args.out, label)
-    print(f"wrote {path}")
-    if not args.no_root:
-        # The canonical root-level report: CI and the PR trajectory
-        # expect BENCH_<label>.json at the repo root, not only the
-        # benchmarks/ copy.
-        root_path = save_report(report, args.root_out, label)
-        if root_path != path:
-            print(f"wrote {root_path}")
-    if args.baseline is None:
-        return 0
-    baseline = load_report(args.baseline)
-    failed = False
-    regressions = compare(report, baseline, threshold=args.threshold)
-    if regressions:
-        for reg in regressions:
-            print(
-                f"REGRESSION {reg.name}: {reg.ratio:.2f}x slower than "
-                f"baseline (calibrated; {reg.baseline_mean * 1e3:.3f} ms "
-                f"-> {reg.current_mean * 1e3:.3f} ms)",
-                file=sys.stderr,
-            )
-        failed = True
-    else:
-        print(
-            f"no benchmark regressed more than {args.threshold:.1f}x "
-            f"against {args.baseline}"
-        )
-    if args.paper_threshold is not None:
-        # A tighter gate on the end-to-end paper probes — the watchline
-        # for per-event overhead creep (e.g. the disabled trace path).
-        current_cal = float(report["machine"]["calibration_seconds"])
-        baseline_cal = float(baseline["machine"]["calibration_seconds"])
-        for name, base in sorted(baseline["benchmarks"].items()):
-            if not name.startswith("paper_"):
-                continue
-            now = report["benchmarks"].get(name)
-            if now is None or float(base["mean"]) <= 0.0:
-                continue
-            ratio = (
-                (float(now["mean"]) / current_cal)
-                / (float(base["mean"]) / baseline_cal)
-            )
-            print(
-                f"paper probe {name}: {ratio:.4f}x baseline (calibrated)"
-            )
-        paper_regressions = compare(
-            report, baseline,
-            threshold=args.paper_threshold, name_prefix="paper_",
-        )
-        if paper_regressions:
-            for reg in paper_regressions:
-                print(
-                    f"PAPER-PROBE REGRESSION {reg.name}: {reg.ratio:.4f}x "
-                    f"slower than baseline (gate {args.paper_threshold:.2f}x)",
-                    file=sys.stderr,
-                )
-            failed = True
-        else:
-            print(
-                f"paper probes within {args.paper_threshold:.2f}x of "
-                f"{args.baseline}"
-            )
-    return 1 if failed else 0
-
-
-def _bench_scale(args: argparse.Namespace) -> int:
-    """The ``repro-dtn bench scale`` suite (see bench_scale module)."""
-    from repro.experiments.bench import (
-        compare,
-        load_report,
-        save_report,
-        speedups,
-    )
-    from repro.experiments.bench_scale import run_scale_suite
-
-    label = args.label or "scale"
-    with _maybe_profile(args, label):
-        report = run_scale_suite(tiers=args.tiers, audit=args.audit)
-    rows = [
-        [name,
-         f"{probe['wall_seconds']:.1f}",
-         f"{probe['n_nodes']:.0f}",
-         f"{probe['sim_seconds']:.0f}",
-         f"{probe['node_sim_seconds_per_wall_second']:.0f}",
-         f"{probe['mdr']:.4f}"]
-        for name, probe in sorted(report["scale"].items())
-    ]
-    print(format_table(
-        ["tier", "wall (s)", "nodes", "sim (s)",
-         "node-sim-s / wall-s", "mdr"],
-        rows,
-        title=f"bench scale "
-              f"calibration={report['machine']['calibration_seconds']:.4f}s",
-    ))
-    if "audit" in report:
-        verdict = report["audit"]
-        status = "CLEAN" if verdict["ok"] else "VIOLATIONS"
-        print(f"conservation audit [{verdict['tier']}]: {status} "
-              f"({verdict['records']} records)")
-        if not verdict["ok"]:
-            return 1
-    if "baseline" in report:
-        fit = report["baseline"]["fit"]
-        print(f"object-core baseline fit: wall = {fit['c']:.3e} "
-              f"* n**{fit['k']:.3f}")
-        for name, entry in sorted(
-            report["baseline"]["extrapolated"].items()
-        ):
-            print(f"  {name}: extrapolated {entry['wall_seconds']:.1f}s "
-                  f"-> measured "
-                  f"{report['scale'][name]['wall_seconds']:.1f}s "
-                  f"({entry['improvement']:.1f}x throughput/node)")
-    path = save_report(report, args.out, label)
-    print(f"wrote {path}")
-    if not args.no_root:
-        root_path = save_report(report, args.root_out, label)
-        if root_path != path:
-            print(f"wrote {root_path}")
-    if args.baseline is None:
-        return 0
-    baseline = load_report(args.baseline)
-    regressions = compare(
-        report, baseline, threshold=args.threshold, name_prefix="scale_"
-    )
-    if regressions:
-        for reg in regressions:
-            print(
-                f"SCALE REGRESSION {reg.name}: {reg.ratio:.2f}x slower "
-                f"than baseline (calibrated; {reg.baseline_mean:.1f} s "
-                f"-> {reg.current_mean:.1f} s)",
-                file=sys.stderr,
-            )
-        return 1
-    print(
-        f"no scale tier regressed more than {args.threshold:.1f}x "
-        f"against {args.baseline}"
-    )
-    if args.min_speedup is not None:
-        # The optimisation-PR gate: the fresh run must *beat* the
-        # committed baseline, not merely avoid regressing against it.
-        gains = speedups(report, baseline, name_prefix="scale_")
-        too_slow = False
-        for name, gain in sorted(gains.items()):
-            print(f"scale speedup {name}: {gain:.2f}x vs {args.baseline}")
-            if gain < args.min_speedup:
-                print(
-                    f"SPEEDUP GATE {name}: {gain:.2f}x < required "
-                    f"{args.min_speedup:.2f}x",
-                    file=sys.stderr,
-                )
-                too_slow = True
-        if too_slow:
-            return 1
-    return 0
-
-
 def _cmd_hetero(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError, TraceError
+    from repro.errors import TraceError
     from repro.experiments.hetero import breakdown_rows, hetero_sweep
 
-    try:
-        config = ScenarioConfig.hetero(
-            pedestrian=args.pedestrian,
-            vehicular=args.vehicular,
-            infrastructure=args.infrastructure,
-            n_nodes=args.nodes,
-            duration=args.duration,
-        )
-    except ConfigurationError as exc:
-        print(f"invalid population: {exc}", file=sys.stderr)
-        return 2
+    config = ScenarioConfig.hetero(
+        pedestrian=args.pedestrian,
+        vehicular=args.vehicular,
+        infrastructure=args.infrastructure,
+        n_nodes=args.nodes,
+        duration=args.duration,
+    )
     seeds = list(range(1, args.seeds + 1))
     try:
         records = hetero_sweep(
@@ -723,83 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.set_defaults(func=_cmd_compare)
 
-    bench = commands.add_parser(
-        "bench",
-        help="time the simulator's hot paths and write BENCH_<label>.json",
-    )
-    bench.add_argument(
-        "suite", nargs="?", choices=("micro", "scale"), default="micro",
-        help="'micro' (default): hot-path benchmarks; 'scale': "
-             "end-to-end 10k/100k/1M-node throughput tiers "
-             "(BENCH_scale.json)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="fewer rounds and a 10-simulated-minute end-to-end probe",
-    )
-    bench.add_argument(
-        "--label", default=None, metavar="L",
-        help="output file label (BENCH_<L>.json; default quick/full)",
-    )
-    bench.add_argument(
-        "--out", default="benchmarks", metavar="DIR",
-        help="directory to write the report into (default benchmarks/)",
-    )
-    bench.add_argument(
-        "--rounds", type=int, default=None, metavar="N",
-        help="override the per-benchmark round count",
-    )
-    bench.add_argument(
-        "--no-paper", action="store_true",
-        help="skip the end-to-end paper-scale probe",
-    )
-    bench.add_argument(
-        "--baseline", default=None, metavar="JSON",
-        help="compare against a committed report and exit 1 on any "
-             "calibrated regression beyond --threshold",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=2.0, metavar="X",
-        help="regression gate as a slowdown factor (default 2.0)",
-    )
-    bench.add_argument(
-        "--paper-threshold", type=float, default=None, metavar="X",
-        help="extra, tighter gate applied only to the end-to-end "
-             "paper_* probes (calibrated; e.g. 1.02 for a 2%% budget)",
-    )
-    bench.add_argument(
-        "--root-out", default=".", metavar="DIR",
-        help="directory for the canonical root-level copy of the "
-             "report (default: repo root)",
-    )
-    bench.add_argument(
-        "--no-root", action="store_true",
-        help="skip writing the root-level BENCH_<label>.json copy",
-    )
-    bench.add_argument(
-        "--tiers", nargs="+", default=["10k"], metavar="TIER",
-        help="scale suite tiers to run: 1k, 10k, 100k, 1m (default: "
-             "10k; the 1M smoke is opt-in — expect minutes and "
-             "several GB)",
-    )
-    bench.add_argument(
-        "--audit", action="store_true",
-        help="scale suite: re-run the first tier with a JSONL trace "
-             "and replay the conservation auditor",
-    )
-    bench.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="scale suite: with --baseline, require every shared "
-             "scale_* tier to be at least X times faster (calibrated) "
-             "— the gate an optimisation PR commits to",
-    )
-    bench.add_argument(
-        "--profile", action="store_true",
-        help="run the suite under cProfile and dump "
-             "BENCH_<label>.pstats next to the report",
-    )
-    bench.set_defaults(func=_cmd_bench)
-
     hetero = commands.add_parser(
         "hetero",
         help="heterogeneous-population comparison: per-class delivery, "
@@ -971,7 +663,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:
+        # Invalid input (a scenario field, a tag, a sweep level) is a
+        # usage error: one line naming the problem, as argparse reports.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,6 +2,7 @@
 multiprocess), a contact-trace cache, and one generator per paper
 figure/table."""
 
+from repro.experiments.bench_scale import scale_config
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.faults import fault_grid_configs, fault_sweep
 from repro.experiments.parallel import (
@@ -39,6 +40,7 @@ from repro.experiments.sweeps import sweep
 
 __all__ = [
     "ScenarioConfig",
+    "scale_config",
     "RunResult",
     "build_contact_trace",
     "run_scenario",

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+from repro.agents.roles import RoleHierarchy
 from repro.core.incentive import IncentiveParams
 from repro.errors import ConfigurationError
 from repro.faults import FaultConfig
@@ -129,21 +130,24 @@ class ScenarioConfig:
     population: Tuple[NodeClassSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        # Every invalid field fails here, named, instead of mid-run
+        # under a downstream component's parameter name.
         if self.n_nodes < 2:
             raise ConfigurationError("n_nodes must be >= 2")
-        if self.duration <= 0:
-            raise ConfigurationError("duration must be > 0")
-        if self.keyword_pool < self.interests_per_node:
+        if not 0 <= self.interests_per_node <= self.keyword_pool:
             raise ConfigurationError(
-                "keyword_pool must be >= interests_per_node"
+                f"interests_per_node must be in [0, keyword_pool="
+                f"{self.keyword_pool}], got {self.interests_per_node!r}"
             )
-        if self.message_interval <= 0:
-            raise ConfigurationError("message_interval must be > 0")
         if self.mobility not in (
             "random-waypoint", "random-walk", "manhattan", "static",
         ):
             raise ConfigurationError(
                 f"unknown mobility model {self.mobility!r}"
+            )
+        if not (self.area[0] > 0 and self.area[1] > 0):
+            raise ConfigurationError(
+                f"area sides must be > 0, got {self.area!r}"
             )
         for range_field in ("speed_range", "pause_range"):
             lo, hi = getattr(self, range_field)
@@ -152,38 +156,56 @@ class ScenarioConfig:
                     f"{range_field} must satisfy 0 <= min <= max, got "
                     f"{(lo, hi)!r}"
                 )
-        if self.scan_interval <= 0:
-            raise ConfigurationError(
-                f"scan_interval must be > 0, got {self.scan_interval!r}"
-            )
-        if self.transmission_radius <= 0:
-            raise ConfigurationError(
-                f"transmission_radius must be > 0, got "
-                f"{self.transmission_radius!r}"
-            )
-        if self.link_speed <= 0:
-            raise ConfigurationError(
-                f"link_speed must be > 0, got {self.link_speed!r}"
-            )
-        if self.buffer_capacity <= 0:
-            raise ConfigurationError(
-                f"buffer_capacity must be > 0, got {self.buffer_capacity!r}"
-            )
+        for positive_field in (
+            "duration", "message_interval", "scan_interval",
+            "transmission_radius", "link_speed", "buffer_capacity",
+            "manhattan_block", "chitchat_beta", "chitchat_growth_scale",
+            "retransmit_backoff", "ttl", "battery_capacity",
+        ):
+            value = getattr(self, positive_field)
+            # ttl and battery_capacity are optional (None = off).
+            if value is not None and not value > 0:
+                raise ConfigurationError(
+                    f"{positive_field} must be > 0, got {value!r}"
+                )
         for fraction_field in (
             "selfish_fraction", "malicious_fraction",
             "participation_probability", "low_quality_probability",
-            "annotated_fraction",
+            "honest_enrich_probability", "malicious_enrich_probability",
         ):
             value = getattr(self, fraction_field)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(
                     f"{fraction_field} must be in [0, 1], got {value!r}"
                 )
+        # The message generator's rules, under this config's names.
+        lo, hi = self.content_keywords
+        if not 1 <= lo <= hi <= self.keyword_pool:
+            raise ConfigurationError(
+                f"content_keywords must satisfy 1 <= min <= max <= "
+                f"keyword_pool={self.keyword_pool}, got "
+                f"{self.content_keywords!r}"
+            )
+        if not 0.0 < self.annotated_fraction <= 1.0:
+            raise ConfigurationError(
+                f"annotated_fraction must be in (0, 1], got "
+                f"{self.annotated_fraction!r}"
+            )
+        total = sum(profile.fraction for profile in self.profiles)
+        if not self.profiles or abs(total - 1.0) > 1e-9:
+            raise ConfigurationError(
+                f"profiles must be non-empty with fractions summing to 1, "
+                f"got {len(self.profiles)} profile(s) summing to {total!r}"
+            )
+        try:
+            RoleHierarchy(self.role_levels, self.role_fractions)
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"role_levels/role_fractions: {exc}"
+            ) from None
         if self.max_retransmissions < 0:
             raise ConfigurationError("max_retransmissions must be >= 0")
         validate_population(self.population)
-        if self.retransmit_backoff <= 0:
-            raise ConfigurationError("retransmit_backoff must be > 0")
         if self.scheme is not None:
             # Imported lazily: repro.schemes pulls in the router catalog,
             # which this config module must not depend on at import time.

@@ -112,6 +112,18 @@ class TestExecution:
         assert main(["figure", "9.9"]) == 2
         assert "unknown figure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "--nodes", "1"], "n_nodes"),
+        (["run", "--selfish", "1.5"], "selfish_fraction"),
+        (["compare", "chitchat", "incentive", "--seeds", "0"], "empty sample"),
+        (["faults", "--losses", "2.0"], "loss levels"),
+    ], ids=["run-nodes", "run-selfish", "compare-zero-seeds", "faults-loss"])
+    def test_invalid_input_exits_2_with_one_line(self, capsys, argv, named):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert err.count("\n") == 1  # the message, no traceback
+
 
 class TestFaults:
     def test_faults_command_defaults(self):
@@ -157,95 +169,6 @@ class TestFaults:
         )
         assert code == 0
         assert "ledger integrity" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_bench_command_parses(self):
-        args = build_parser().parse_args([
-            "bench", "--quick", "--label", "x", "--rounds", "2",
-        ])
-        assert args.command == "bench"
-        assert args.quick is True
-        assert args.rounds == 2
-        assert args.threshold == 2.0
-
-    def test_bench_writes_report(self, tmp_path, capsys):
-        code = main([
-            "bench", "--quick", "--rounds", "1", "--no-paper",
-            "--out", str(tmp_path), "--label", "t1", "--no-root",
-        ])
-        assert code == 0
-        report_path = tmp_path / "BENCH_t1.json"
-        assert report_path.exists()
-        import json
-        report = json.loads(report_path.read_text())
-        assert report["schema"] == 1
-        assert "pairs_in_range_500" in report["benchmarks"]
-        assert report["machine"]["calibration_seconds"] > 0
-        out = capsys.readouterr().out
-        assert "pairs_in_range_500" in out
-
-    def test_bench_writes_root_report(self, tmp_path, capsys):
-        root = tmp_path / "root"
-        out = tmp_path / "out"
-        code = main([
-            "bench", "--quick", "--rounds", "1", "--no-paper",
-            "--out", str(out), "--label", "ci",
-            "--root-out", str(root),
-        ])
-        assert code == 0
-        assert (out / "BENCH_ci.json").exists()
-        assert (root / "BENCH_ci.json").exists()
-
-    def test_bench_root_report_skipped_when_same_dir(self, tmp_path):
-        code = main([
-            "bench", "--quick", "--rounds", "1", "--no-paper",
-            "--out", str(tmp_path), "--label", "same",
-            "--root-out", str(tmp_path),
-        ])
-        assert code == 0
-        assert (tmp_path / "BENCH_same.json").exists()
-
-    def test_bench_passes_against_own_baseline(self, tmp_path, capsys):
-        # This exercises the CLI comparison plumbing, not real
-        # performance (the scale gate does that), so de-flake it:
-        # best-of-3 rounds instead of a single sample, and a loose
-        # threshold — on a loaded machine even back-to-back runs of
-        # identical code can differ by 2-3x on sub-millisecond benches.
-        assert main([
-            "bench", "--quick", "--rounds", "3", "--no-paper",
-            "--out", str(tmp_path), "--label", "base", "--no-root",
-        ]) == 0
-        code = main([
-            "bench", "--quick", "--rounds", "3", "--no-paper",
-            "--out", str(tmp_path), "--label", "again", "--no-root",
-            "--baseline", str(tmp_path / "BENCH_base.json"),
-            "--threshold", "8.0",
-        ])
-        assert code == 0
-        assert "no benchmark regressed" in capsys.readouterr().out
-
-    def test_bench_flags_regression(self, tmp_path, capsys):
-        import json
-        assert main([
-            "bench", "--quick", "--rounds", "1", "--no-paper",
-            "--out", str(tmp_path), "--label", "base", "--no-root",
-        ]) == 0
-        baseline_path = tmp_path / "BENCH_base.json"
-        doctored = json.loads(baseline_path.read_text())
-        for record in doctored["benchmarks"].values():
-            # Pretend everything was 1000x faster (the gate compares
-            # best-of-N, with a mean fallback for old reports).
-            record["mean"] /= 1000.0
-            record["best"] /= 1000.0
-        baseline_path.write_text(json.dumps(doctored))
-        code = main([
-            "bench", "--quick", "--rounds", "1", "--no-paper",
-            "--out", str(tmp_path), "--label", "now", "--no-root",
-            "--baseline", str(baseline_path),
-        ])
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().err
 
 
 class TestSchemesCommand:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
+from repro.messages.generator import DEFAULT_PROFILES
 
 
 class TestDefaults:
@@ -52,6 +53,43 @@ class TestValidation:
             ScenarioConfig(selfish_fraction=1.5)
         with pytest.raises(ConfigurationError):
             ScenarioConfig(malicious_fraction=-0.1)
+
+    @pytest.mark.parametrize("field_name, value", [
+        ("area", (0.0, 100.0)),
+        ("manhattan_block", 0.0),
+        ("ttl", 0.0),
+        ("battery_capacity", -1.0),
+        ("chitchat_beta", 0.0),
+        ("chitchat_growth_scale", 0.0),
+        ("honest_enrich_probability", 1.5),
+        ("malicious_enrich_probability", -0.1),
+        ("role_fractions", (1.0,)),  # one fraction for two levels
+        ("role_fractions", (0.5, 0.4)),  # does not sum to 1
+        ("content_keywords", (0, 4)),
+        ("content_keywords", (4, 201)),  # beyond the 200-keyword pool
+        ("annotated_fraction", 0.0),
+        ("interests_per_node", -1),
+        ("profiles", ()),
+        ("profiles", DEFAULT_PROFILES[:1]),  # fractions sum to 0.5
+    ])
+    def test_invalid_field_fails_at_construction(self, field_name, value):
+        # Each of these used to construct and then fail inside
+        # run_scenario, often under another component's parameter name.
+        with pytest.raises(ConfigurationError, match=field_name):
+            ScenarioConfig(**{field_name: value})
+
+    def test_boundary_values_accepted(self):
+        ScenarioConfig(
+            interests_per_node=0,
+            annotated_fraction=1.0,
+            content_keywords=(1, 200),
+            ttl=None,
+            battery_capacity=None,
+            honest_enrich_probability=0.0,
+            malicious_enrich_probability=1.0,
+            role_levels=("private",),
+            role_fractions=(1.0,),
+        )
 
 
 class TestHelpers:
