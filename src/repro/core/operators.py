@@ -80,7 +80,7 @@ class Operators:
     def decay_weights(self, node_id: int) -> dict:
         """Run the ChitChat decay phase; returns keyword -> new weight."""
         table = self._protocol.table(node_id)
-        connected = self._protocol._connected_keywords(node_id)
+        connected = self._protocol._connected_ids(node_id)
         table.decay(self._world.now, connected, beta=self._protocol.beta)
         return {k: table.weight(k) for k in table.keywords}
 

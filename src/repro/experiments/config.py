@@ -33,6 +33,14 @@ from repro.population import (
 __all__ = ["ScenarioConfig"]
 
 
+def _named(spec: Optional[NodeClassSpec], field_name: str) -> str:
+    """``field_name`` as an error names it: under its class when the
+    value is that class's override, else the scenario field."""
+    if spec is not None and getattr(spec, field_name) is not None:
+        return f"population[{spec.name}].{field_name}"
+    return field_name
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One complete simulation scenario.
@@ -206,6 +214,29 @@ class ScenarioConfig:
         if self.max_retransmissions < 0:
             raise ConfigurationError("max_retransmissions must be >= 0")
         validate_population(self.population)
+        # Rules the mobility models and the interest sampler enforce,
+        # checked on every resolved class.
+        specs = self.population or (None,)
+        for spec, cls in zip(specs, resolve_population(self)):
+            if cls.mobility != "static" and not cls.speed_range[0] > 0:
+                raise ConfigurationError(
+                    f"{_named(spec, 'speed_range')} min must be > 0 for a "
+                    f"moving class, got {cls.speed_range!r}"
+                )
+            if cls.mobility == "manhattan" and (
+                self.manhattan_block > min(self.area)
+            ):
+                raise ConfigurationError(
+                    f"manhattan_block {self.manhattan_block!r} exceeds the "
+                    f"shorter area side {min(self.area)!r} (class "
+                    f"{cls.name} moves on the manhattan grid)"
+                )
+            if cls.interests_per_node > self.keyword_pool:
+                raise ConfigurationError(
+                    f"{_named(spec, 'interests_per_node')} must be <= "
+                    f"keyword_pool={self.keyword_pool}, got "
+                    f"{cls.interests_per_node!r}"
+                )
         if self.scheme is not None:
             # Imported lazily: repro.schemes pulls in the router catalog,
             # which this config module must not depend on at import time.

@@ -145,11 +145,11 @@ class Router(abc.ABC):
         """All admitted pairs of one contact-up tick, before any opens.
 
         Called by the world once per up tick so a batching router can
-        run pre-exchange state updates (ChitChat's RTSR decay) as
-        vectorised passes over whatever subset it can prove safe,
-        marking those sides so the per-pair hooks skip them.  The
-        default does nothing — :meth:`prepare_contact` still runs per
-        pair from :meth:`on_contact_start`.
+        plan pre-exchange state updates (ChitChat's RTSR decay) as
+        vectorised passes, leaving the per-pair hooks only what must
+        land at each pair's point.  The default does nothing —
+        :meth:`prepare_contact` still runs per pair from
+        :meth:`on_contact_start`.
         """
 
     def contact_end_batch(self, links: List[Link]) -> None:

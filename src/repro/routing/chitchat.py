@@ -458,7 +458,7 @@ class InterestTable:
             connected_keywords: Keywords shared by *currently connected*
                 devices; their weights are frozen and their ``T_l``
                 refreshed.  Either a set of strings or an int64 array of
-                keyword ids (the router's hot path).
+                keyword ids.
             beta: Decay constant.
             prune_below: Transient records below this weight are removed
                 (bounds table growth; direct interests are never pruned).
@@ -483,15 +483,6 @@ class InterestTable:
                 # The shared index may hold ids beyond this table's
                 # arrays; those rows are absent here by definition.
                 last[connected_keywords[connected_keywords < capacity]] = now
-        elif isinstance(connected_keywords, list) and (
-            not connected_keywords
-            or isinstance(connected_keywords[0], np.ndarray)
-        ):
-            # A list of id arrays (one per connected peer), stamped
-            # without materialising their concatenation.
-            for part in connected_keywords:
-                if part.size:
-                    last[part[part < capacity]] = now
         else:
             get = self._index.get
             ids = [
@@ -586,6 +577,18 @@ class InterestTable:
             self._members_version += 1
             if dead.all():
                 self._stamped = (now, self.version, self._members_version)
+
+    def _record_decay(
+        self, now: float, divided: bool, pruned: bool, settled: bool
+    ) -> None:
+        """:meth:`decay`'s version bookkeeping, for a decay whose cells
+        a batch wrote (flags as :meth:`InterestStore._decay_block`)."""
+        if divided:
+            self.version += 1
+            if pruned:
+                self._members_version += 1
+        if settled:
+            self._stamped = (now, self.version, self._members_version)
 
     # ------------------------------------------------------------------
     # Algorithm 2: growth
@@ -740,10 +743,10 @@ class InterestStore:
 
     Tables are :class:`InterestTable` row views.  What the fusion buys
     is the *batched* tick operations (:meth:`batch_decay`,
-    :meth:`batch_grow_pairs`): contacts in one scan tick whose
-    endpoints do not interleave run their Algorithm 1/2 updates as a
-    handful of ufuncs over a ``(contacts, keywords)`` block instead of
-    two Python calls per contact.  Both batched forms evaluate the
+    :meth:`batch_grow_pairs`): the contacts of one scan tick run their
+    Algorithm 1/2 updates in rounds, each a handful of ufuncs over a
+    ``(contacts, keywords)`` block instead of two Python calls per
+    contact.  Both batched forms evaluate the
     identical IEEE expression per element as the per-table paths, so
     results are bit-identical (the golden trace digests and the fused
     property tests pin this).
@@ -754,7 +757,10 @@ class InterestStore:
 
     def __init__(self, index: KeywordIndex, *, rows: int = 64):
         self.index = index
-        columns = max(8, len(index))
+        # Columns come in whole multiples of 8, so a row of bool flags
+        # is whole 64-bit words (the decay planner ORs membership rows
+        # as words).
+        columns = max(8, -(-len(index) // 8) * 8)
         rows = max(8, rows)
         self._w = np.zeros((rows, columns), dtype=np.float64)
         self._d = np.zeros((rows, columns), dtype=bool)
@@ -806,7 +812,7 @@ class InterestStore:
         old = self._w.shape[1]
         if keyword_id < old:
             return
-        new = max(old * 2, keyword_id + 1)
+        new = max(old * 2, (keyword_id + 8) // 8 * 8)
         for name in ("_w", "_d", "_l", "_p"):
             array = getattr(self, name)
             grown = np.zeros((array.shape[0], new), dtype=array.dtype)
@@ -818,25 +824,28 @@ class InterestStore:
     # ------------------------------------------------------------------
     # Batched tick operations
     # ------------------------------------------------------------------
+    @staticmethod
     def _decay_block(
-        self,
-        rows: np.ndarray,
+        W: np.ndarray,
+        D: np.ndarray,
+        P: np.ndarray,
+        L: np.ndarray,
         connected: np.ndarray,
         now: float,
         beta: float,
         prune_below: float,
-    ) -> Tuple[np.ndarray, ...]:
-        """Algorithm 1 over ``rows``, computed without writing anything.
+    ) -> Tuple[
+        np.ndarray, np.ndarray, np.ndarray, List[bool], List[bool], List[bool]
+    ]:
+        """Algorithm 1 over a block of rows, computed without writing.
 
-        Returns ``(W, P, L, stale, new_w, prune)``, each ``(len(rows),
-        columns)``: current weights and presence, ``T_l`` after
-        stamping, the stale mask, the decayed weights and the prune
-        mask.
+        ``W``/``D``/``P``/``L`` are the rows' weights, direct and
+        present flags and ``T_l``.  Returns the decayed ``(weights,
+        last, present)`` arrays, then three lists saying per row
+        whether it divided a cell, pruned a row and was left fully
+        stamped (no present cell with ``T_l < now``).
         """
-        W = self._w[rows]
-        D = self._d[rows]
-        P = self._p[rows]
-        L = np.where(connected, now, self._l[rows])
+        L = np.where(connected, now, L)
         elapsed = now - L
         stale = P & (elapsed > 0.0)
         denominator = np.maximum(beta * elapsed, 1.0)
@@ -845,23 +854,12 @@ class InterestStore:
         prune = stale & ~D & (decayed < prune_below)
         new_w = np.where(stale, decayed, W)
         new_w[prune] = 0.0
-        return W, P, L, stale, new_w, prune
-
-    def decay_changes(
-        self,
-        rows: np.ndarray,
-        connected: np.ndarray,
-        now: float,
-        *,
-        beta: float,
-        prune_below: float = 1e-3,
-    ) -> np.ndarray:
-        """Per row, whether :meth:`batch_decay` with these arguments
-        would change a weight or prune a row (writes nothing)."""
-        W, _, _, _, new_w, prune = self._decay_block(
-            rows, connected, now, beta, prune_below
+        return (
+            new_w, L, P & ~prune,
+            stale.any(axis=1).tolist(),
+            prune.any(axis=1).tolist(),
+            (~(stale & ~prune).any(axis=1)).tolist(),
         )
-        return ((new_w != W) | prune).any(axis=1)
 
     def batch_decay(
         self,
@@ -871,43 +869,38 @@ class InterestStore:
         *,
         beta: float,
         prune_below: float = 1e-3,
-    ) -> None:
-        """Algorithm 1 over many rows at once.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Algorithm 1 over many store rows at once.
 
         Args:
-            rows: Store rows to decay.  The caller guarantees they are
-                pairwise non-interfering (no row is another's connected
-                peer).
+            rows: Distinct store rows to decay.
             connected: ``(len(rows), columns)`` bool mask of keyword
-                columns held by each row's currently-connected peers.
+                columns held by each row's currently-connected peers,
+                read by the caller (so rows may be each other's peers).
             now: Current time ``T_c``.
             beta: Decay constant.
             prune_below: Transient prune threshold.
 
+        Returns:
+            ``(weights, last, present)``: the rows as written.
+
         Per element this evaluates exactly the per-table expression
         (stamp connected ``T_l`` first, ``(w - half)/max(beta·dt, 1) +
         half``, prune transients below the threshold), so the floats
-        are bit-identical to ``InterestTable.decay``, and rows it leaves
-        fully stamped are recorded the same way.
+        are bit-identical to ``InterestTable.decay``, and the versions
+        and fully-stamped records move the same way.
         """
-        _, P, L, stale, new_w, prune = self._decay_block(
-            rows, connected, now, beta, prune_below
+        weights, last, present, divided, pruned, settled = self._decay_block(
+            self._w[rows], self._d[rows], self._p[rows], self._l[rows],
+            connected, now, beta, prune_below,
         )
-        self._w[rows] = new_w
-        self._l[rows] = L
-        self._p[rows] = P & ~prune
-        stale_any = stale.any(axis=1).tolist()
-        prune_any = prune.any(axis=1).tolist()
-        settled = (~(stale & ~prune).any(axis=1)).tolist()
+        self._w[rows] = weights
+        self._l[rows] = last
+        self._p[rows] = present
         tables = self._tables
         for k, row in enumerate(rows.tolist()):
-            table = tables[row]
-            if stale_any[k]:
-                table.version += 1
-                if prune_any[k]:
-                    table._members_version += 1
-            if settled[k]:
-                table._stamped = (now, table.version, table._members_version)
+            tables[row]._record_decay(now, divided[k], pruned[k], settled[k])
+        return weights, last, present
 
     def batch_grow_pairs(
         self,
@@ -1068,10 +1061,11 @@ class ChitChatRouter(Router):
         self._tables: Dict[int, InterestTable] = {}
         #: Fused [node × keyword] store; every table is one of its rows.
         self._store = InterestStore(self.keyword_index)
-        #: ``(pair, node)`` decay sides already run by
-        #: :meth:`prepare_contact_batch` this tick; ``run_rtsr_decay``
-        #: consumes and skips them side by side.
-        self._predecayed: Set[Tuple[Tuple[int, int], int]] = set()
+        #: Pair -> its two decay sides as planned by
+        #: :meth:`prepare_contact_batch` this tick: ``None`` where
+        #: nothing is left to write, else the stashed result
+        #: ``run_rtsr_decay`` writes at the pair's point.
+        self._planned: Dict[Tuple[int, int], List[Optional[tuple]]] = {}
         # Interned memo keys: ordered keyword sequence -> small int.
         # Messages cache their key in ``_memo_key`` (invalidated on
         # annotate), so the hot paths hash one int instead of a string
@@ -1175,60 +1169,39 @@ class ChitChatRouter(Router):
             self._message_id_cache[key] = ids
         return ids
 
-    def _connected_keywords(self, node_id: int) -> Set[str]:
-        """Keywords held by any currently connected peer of ``node_id``."""
-        keywords: Set[str] = set()
-        for link in self.world.active_links(node_id):
-            peer = link.peer_of(node_id)
-            keywords |= self.table(peer).keywords
-        return keywords
-
     def _connected_ids(self, node_id: int) -> np.ndarray:
-        """Keyword ids held by any currently connected peer (id-space
-        analogue of :meth:`_connected_keywords`; same shared index).
-
-        Iterates the world's zero-copy open-link view and resolves
-        peer tables straight from the table dict: this runs twice per
-        contact, so the ``active_links`` list build and ``peer_of``
-        calls it replaced were a real cost at scale.
-        """
-        tables = self._tables
-        parts = []
-        for link in self.world.open_links(node_id):
-            peer = link.b if link.a == node_id else link.a
-            peer_table = tables.get(peer)
-            if peer_table is None:
-                peer_table = self.table(peer)
-            parts.append(peer_table.present_ids())
-        if not parts:
-            return _EMPTY_IDS
-        if len(parts) == 1:
-            return parts[0]
-        # Duplicates across peers are fine: decay consumes this as a
-        # membership mask, so neither deduplication nor concatenation
-        # would buy anything — hand the parts over as-is.
-        return parts
+        """Keyword ids held by any currently connected peer of
+        ``node_id`` (duplicates across peers are harmless: decay only
+        stamps them)."""
+        parts = [
+            self.table(link.b if link.a == node_id else link.a).present_ids()
+            for link in self.world.open_links(node_id)
+        ]
+        return np.concatenate(parts) if parts else _EMPTY_IDS
 
     def run_rtsr_decay(self, link: Link) -> None:
         """Phase one of the weight exchange: decay on both endpoints.
 
-        A side is skipped when :meth:`prepare_contact_batch` already
-        ran it, or when its table is still fully stamped at ``now``:
-        the decay would only re-stamp ``T_l`` and find nothing stale
-        (the proof is in DESIGN.md §9).
+        A pair :meth:`prepare_contact_batch` planned only writes the
+        sides it stashed.  Otherwise each side runs
+        :meth:`InterestTable.decay`, skipped when its table is still
+        fully stamped at ``now``: the decay would only re-stamp ``T_l``
+        and find nothing stale (the proof is in DESIGN.md §9).
         """
-        predecayed = self._predecayed
         now = self.world.now
-        pair = link.pair
-        for node_id in pair:
-            if predecayed:
-                key = (pair, node_id)
-                if key in predecayed:
-                    # prepare_contact_batch already ran this side's
-                    # decay (in the batched form, bit-identical); don't
-                    # decay twice.
-                    predecayed.discard(key)
-                    continue
+        planned = self._planned.pop(link.pair, None)
+        if planned is not None:
+            tables = self._tables
+            for node_id, side in zip(link.pair, planned):
+                if side is not None:
+                    weights, last, present, divided, pruned, settled = side
+                    table = tables[node_id]
+                    table._weight[:] = weights
+                    table._last[:] = last
+                    table._present[:] = present
+                    table._record_decay(now, divided, pruned, settled)
+            return
+        for node_id in link.pair:
             table = self.table(node_id)
             if table._stamped == (now, table.version, table._members_version):
                 continue
@@ -1410,167 +1383,174 @@ class ChitChatRouter(Router):
     def prepare_contact_batch(
         self, pairs: List[Tuple[int, int]]
     ) -> None:
-        """Run the decay phase for a whole admitted contact batch.
+        """Plan every decay side of a contact-up tick in dependency rounds.
 
-        The world calls this once per contact-up tick with
-        every admitted pair, *before* any link is created or exchange
-        runs.  Every node's **first** decay of the tick runs here as
-        one vectorised pass over the fused store; the per-pair
-        ``run_rtsr_decay`` skips exactly those sides and runs the rest
-        (second and later occurrences of the same node) sequentially at
-        their legacy per-pair point.
-
-        Why a first decay commutes to the head of the tick (DESIGN.md
-        §9): a node's weights are read by the exchanges of its own
-        pairs, none of which precedes its first pair, and by the offers
-        of pairs whose sender has it as an open peer.  A link opened
-        earlier in the tick ends at a node whose first decay precedes
-        the read either way; a *tick-start* open peer of an earlier
-        pair's endpoint is kept out of the batch when its batched decay
-        would change a weight or prune, and decays at its sequential
-        point.  A batched node's stamp mask — the open peers'
-        membership the per-pair path reads through ``_connected_ids``
-        — is its tick-start open peers plus its first partner, all
-        known up front.  Membership only
-        *shrinks* during an up tick (growth and subscriptions happen
-        elsewhere), and the single shrinking operation is the decay
-        prune — so a row pruning mid-tick would make a neighbour's mask
-        depend on where in the tick it is read.  Nodes that could prune
-        are found up front by a conservative vectorised test (lightest
-        transient weight under twice the prune threshold times the
-        node's largest possible divisor raised to its pair count this
-        tick — a 2x margin over the sequential-division drift, bounded
-        rowwise from below); they and every batch node reading their
-        membership (partners and tick-start open neighbours) fall back
-        to the exact sequential path.
+        The world calls this once per contact-up tick with every
+        admitted pair, before any link opens.  Side ``(n, k)`` is node
+        ``n``'s decay at pair ``k``; per pair it reads ``n``'s row and
+        the membership of ``n``'s tick-start open peers and of its
+        partners up to pair ``k``.  Each side is computed in a round
+        that sees exactly those inputs (the proof is in DESIGN.md §9).
+        A node's first side is written to the store here through
+        :meth:`InterestStore.batch_decay`, unless an earlier pair reads
+        the node through a tick-start open link; that side and every
+        later one are stashed in :attr:`_planned` for
+        ``run_rtsr_decay`` to write at the pair's point.
         """
+        planned = self._planned
+        planned.clear()
         store = self._store
-        predecayed = self._predecayed
-        predecayed.clear()
-        world = self.world
-        now = world.now
+        now = self.world.now
         beta = self.beta
-        open_links = world.open_links
-        table = self.table
-        # Node -> [(pair, partner), ...] in tick order; the first entry
-        # is the occurrence the batch takes over.
-        occurrences: Dict[int, List[Tuple[Tuple[int, int], int]]] = {}
-        occ_get = occurrences.get
-        for pair in pairs:
-            a, b = pair
-            lst = occ_get(a)
-            if lst is None:
-                occurrences[a] = [(pair, b)]
-            else:
-                lst.append((pair, b))
-            lst = occ_get(b)
-            if lst is None:
-                occurrences[b] = [(pair, a)]
-            else:
-                lst.append((pair, a))
-        # Materialise every table this tick's decays would create (the
-        # per-pair path creates partner and open-peer tables inside
-        # ``_connected_ids``; fresh-table contents do not depend on
-        # creation order within the tick) and collect each node's
-        # tick-start open peers once.
         tables = self._tables
-        start_peers: Dict[int, List[int]] = {}
-        for node in occurrences:
-            if node not in tables:
-                table(node)
-            peers = [
-                link.b if link.a == node else link.a
-                for link in open_links(node)
-            ]
-            for peer in peers:
-                if peer not in tables:
-                    table(peer)
-            start_peers[node] = peers
-        nodes = list(occurrences)
-        n_nodes = len(nodes)
-        node_rows = np.fromiter(
-            (tables[n]._row for n in nodes), dtype=np.intp, count=n_nodes
+        # Each node's first pair and side count; the tables the tick's
+        # decays would create (fresh contents do not depend on creation
+        # order within the tick).
+        first: Dict[int, int] = {}
+        count: Dict[int, int] = {}
+        for k, pair in enumerate(pairs):
+            planned[pair] = [None, None]
+            for n in pair:
+                if n in count:
+                    count[n] += 1
+                else:
+                    first[n] = k
+                    count[n] = 1
+                    if n not in tables:
+                        self.table(n)
+        nodes = list(first)
+        rows = np.fromiter(
+            (tables[n]._row for n in nodes), dtype=np.intp, count=len(nodes)
         )
-        # Conservative prune risk as row scalars: a node can prune only
-        # if its lightest transient weight divided by its *largest*
-        # possible per-tick divisor, applied once per occurrence, dips
-        # under twice the prune threshold.  This bounds the exact
-        # per-element test (weight / den**k per keyword) from below, so
-        # it only ever demotes more — and keeps the matrix maths to
-        # two masked reductions instead of a dense power.
-        transient = store._p[node_rows] & ~store._d[node_rows]
-        wmin = np.where(
-            transient, store._w[node_rows], np.inf
-        ).min(axis=1)
-        lmin = np.where(
-            transient, store._l[node_rows], np.inf
-        ).min(axis=1)
-        denmax = np.maximum(beta * (now - lmin), 1.0)
-        k = np.fromiter(
-            (len(occurrences[n]) for n in nodes),
-            dtype=np.float64, count=n_nodes,
-        )
-        risky = wmin < 2e-3 * denmax ** k
-        pruny = {nodes[i] for i in np.flatnonzero(risky)}
-        tainted = set(pruny)
-        if pruny:
-            for n in pruny:
-                for _pair, partner in occurrences[n]:
-                    tainted.add(partner)
-            for n in nodes:
-                if n not in tainted and not pruny.isdisjoint(start_peers[n]):
-                    tainted.add(n)
-        # Rank in first-appearance order.  A tick-start open peer never
-        # shares a pair with the node (admission refuses a live link),
-        # so a lower rank means an earlier first pair.
-        rank = {n: i for i, n in enumerate(nodes)}
-        batch_idx: List[int] = []
-        # Positions in batch_idx of nodes an earlier pair's offers read
-        # through a tick-start open link.
-        watched: List[int] = []
-        flat_peer_rows: List[int] = []
-        starts: List[int] = []
-        for i, n in enumerate(nodes):
-            if n in tainted:
-                continue
-            peers = start_peers[n]
-            if any(rank.get(p, n_nodes) < i for p in peers):
-                watched.append(len(batch_idx))
-            batch_idx.append(i)
-            # Stamp mask sources: tick-start open peers, then the first
-            # partner (whose link exists by the time the per-pair path
-            # would have read it).
-            starts.append(len(flat_peer_rows))
-            flat_peer_rows.extend(tables[p]._row for p in peers)
-            flat_peer_rows.append(tables[occurrences[n][0][1]]._row)
-        if not batch_idx:
+        P = store._p[rows]
+        L = store._l[rows]
+        live = (P & (L < now)).any(axis=1)
+        active: List[int] = []
+        for n, is_live in zip(nodes, live.tolist()):
+            if is_live:
+                active.append(n)
+            else:
+                # Fully stamped for the whole tick: every side is a
+                # no-op.  Leave the record the first one would.
+                t = tables[n]
+                t._stamped = (now, t.version, t._members_version)
+        if not active:
             return
-        # Segment-OR the gathered peer membership rows into one
-        # connected mask per batched node (every segment is non-empty:
-        # the first partner is always there).
-        gathered = store._p[np.asarray(flat_peer_rows, dtype=np.intp)]
-        connected = np.logical_or.reduceat(
-            gathered, np.asarray(starts, dtype=np.intp), axis=0
+        n_active = len(active)
+        act_rows = rows[live]
+        # Scratch rows of the active nodes, stepped through every side.
+        sW = store._w[act_rows]
+        sD = store._d[act_rows]
+        sL = L[live]
+        # Row bound: a side divides a stale cell at most once, by at
+        # most ``denmax``, so at its node's j-th side no transient cell
+        # is lighter than ``wmin / denmax**j``.  The side may prune only
+        # if that is under twice the threshold (the margin covers the
+        # rounding of repeated divisions).  ``first_prune``: the first
+        # such side, counted from 1, or 0 for none.
+        transient = P[live] & ~sD
+        wmin = np.where(transient, sW, np.inf).min(axis=1)
+        lmin = np.where(transient, sL, np.inf).min(axis=1)
+        denmax = np.maximum(beta * (now - lmin), 1.0)
+        n_sides = np.fromiter(
+            (count[n] for n in active), dtype=np.float64, count=n_active
         )
-        rows = node_rows[batch_idx]
-        if watched:
-            # Open-peer read rule: a watched node whose decay would
-            # change a weight or prune a row decays at its sequential
-            # point instead.
-            w = np.asarray(watched, dtype=np.intp)
-            moves = store.decay_changes(rows[w], connected[w], now, beta=beta)
-            if moves.any():
-                keep = np.ones(len(batch_idx), dtype=bool)
-                keep[w[moves]] = False
-                rows = rows[keep]
-                connected = connected[keep]
-                batch_idx = [
-                    i for i, kept in zip(batch_idx, keep.tolist()) if kept
-                ]
-        for i in batch_idx:
-            n = nodes[i]
-            predecayed.add((occurrences[n][0][0], n))
-        store.batch_decay(rows, connected, now, beta=beta)
+        first_prune = [0] * n_active
+        for i in np.flatnonzero(wmin < 2e-3 * denmax ** n_sides).tolist():
+            j = 1
+            while not wmin[i] < 2e-3 * denmax[i] ** j:
+                j += 1
+            first_prune[i] = j
+        # Membership scratch rows: the active nodes (same indices), then
+        # every other node an active side reads; theirs cannot change
+        # this tick.  A tick-start peer already has a table: the tick
+        # that opened its link created both endpoints' tables.
+        index = {n: i for i, n in enumerate(active)}
+        member_rows = act_rows.tolist()
+
+        def member(node: int) -> int:
+            m = index.get(node)
+            if m is None:
+                m = index[node] = len(member_rows)
+                member_rows.append(tables[node]._row)
+            return m
+
+        # Per active node: the membership rows its sides read so far,
+        # the may-prune nodes among them, its sides so far, and the
+        # round of its last side and of its last may-prune side.
+        sources: List[List[int]] = [[] for _ in active]
+        readers: List[List[int]] = [[] for _ in active]
+        seen = [0] * n_active
+        last = [-1] * n_active
+        prune_round = [-1] * n_active
+        # Per round: the sides written now, then the stashed ones, each
+        # as (scratch index, membership rows read, pair, slot).
+        rounds: List[Tuple[list, list]] = []
+        open_links = self.world.open_links
+        for k, pair in enumerate(pairs):
+            for slot in (0, 1):
+                n = pair[slot]
+                i = index.get(n, n_active)
+                if i >= n_active:
+                    continue
+                source = sources[i]
+                reader = readers[i]
+                s = seen[i] = seen[i] + 1
+                stash = s > 1
+                peers = [pair[1 - slot]]
+                if not stash:
+                    # The first side also reads the tick-start open
+                    # peers; a peer whose first pair came earlier read
+                    # this node in that pair's exchange.
+                    for link in open_links(n):
+                        peer = link.b if link.a == n else link.a
+                        peers.append(peer)
+                        if first.get(peer, k) < k:
+                            stash = True
+                for peer in peers:
+                    m = member(peer)
+                    source.append(m)
+                    if m < n_active and first_prune[m]:
+                        reader.append(m)
+                # Past the node's previous side and every earlier
+                # may-prune side of a peer it reads.
+                r = last[i] + 1
+                for q in reader:
+                    if prune_round[q] >= r:
+                        r = prune_round[q] + 1
+                last[i] = r
+                if first_prune[i] and s >= first_prune[i]:
+                    prune_round[i] = r
+                if r == len(rounds):
+                    rounds.append(([], []))
+                rounds[r][stash].append((i, len(source), pair, slot))
+        members = store._p[member_rows]
+        for now_sides, stashed in rounds:
+            # Every side's mask from the pre-round membership, OR-ed as
+            # 64-bit words (store rows are whole words).
+            flat: List[int] = []
+            starts: List[int] = []
+            for i, n_read, _, _ in now_sides + stashed:
+                starts.append(len(flat))
+                flat.extend(sources[i][:n_read])
+            masks = np.bitwise_or.reduceat(
+                members[flat].view(np.uint64), starts, axis=0
+            ).view(bool)
+            split = len(now_sides)
+            if now_sides:
+                idx = [side[0] for side in now_sides]
+                sW[idx], sL[idx], members[idx] = store.batch_decay(
+                    act_rows[idx], masks[:split], now, beta=beta
+                )
+            if stashed:
+                idx = [side[0] for side in stashed]
+                block = store._decay_block(
+                    sW[idx], sD[idx], members[idx], sL[idx], masks[split:],
+                    now, beta, 1e-3,
+                )
+                sW[idx], sL[idx], members[idx] = block[:3]
+                for (_, _, pair, slot), side in zip(stashed, zip(*block)):
+                    planned[pair][slot] = side
 
     def on_contact_start(self, link: Link) -> None:
         self.prepare_contact(link)

@@ -6,9 +6,11 @@ references:
 * The batched up tick (``World._run_up_batch`` handing the tick to
   ``prepare_contact_batch``) must produce the same event trace as the
   per-pair tick a router without ``supports_contact_batching`` gets —
-  on whole scenario runs, and on the 4-node tick where hoisting a
-  tick-start open peer's decay once changed an offer (DESIGN.md §9,
-  open-peer read rule).
+  on whole scenario runs (which must not run a single per-pair decay),
+  on random ticks (every table state compared too), on the 4-node tick
+  where hoisting a tick-start open peer's decay once changed an offer,
+  and on the tick where a prune changes what a later decay stamps
+  (DESIGN.md §9).
 * ``ReputationSystem.exchange_batch`` — the grouped searchsorted merge
   over all safe pairs of a tick — must leave every book bit-identical
   to pairwise ``exchange`` calls, never share storage between books
@@ -28,7 +30,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import protocol
@@ -36,11 +38,12 @@ from repro.core.incentive import IncentiveParams
 from repro.core.incentive_layer import IncentiveLayer
 from repro.core.reputation import RatingModel, ReputationSystem
 from repro.faults import FaultConfig
+from repro.experiments.bench_scale import scale_config
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.network.node import Node
 from repro.network.world import World
-from repro.routing.chitchat import ChitChatRouter
+from repro.routing.chitchat import ChitChatRouter, InterestTable
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
 from repro.trace.recorder import TraceRecorder
@@ -121,25 +124,166 @@ def test_open_peer_decay_stays_sequential():
     assert _open_peer_tick(ChitChatRouter()) == per_pair
 
 
+def _run_tick(substrate, n_nodes, interests, start, seeds, tick, message):
+    """Trace records and the router of one up tick at ``t = 1000``.
+
+    Every table is created at ``t = 0``; the ``start`` pairs open then
+    and stay open.  At ``t = 1000`` each ``(node, keyword, weight,
+    last_contact)`` in ``seeds`` becomes a transient row, and the
+    ``tick`` pairs come up in one batch.  ``message`` is
+    ``(source, keywords)``, buffered at ``t = 0``.
+    """
+    params = IncentiveParams(initial_tokens=100.0)
+    router = IncentiveLayer(
+        substrate,
+        params=params,
+        rating_model=RatingModel(params, noise=0.0, confidence_low=1.0),
+    )
+    recorder = _Records()
+    world = World(
+        Engine(), [Node(i, interests[i]) for i in range(n_nodes)], router,
+        link_speed=1_000.0, streams=RandomStreams(7), trace=recorder,
+    )
+    for node in range(n_nodes):
+        substrate.table(node)
+    source, keywords = message
+    world.inject_message(make_message(
+        source=source, size=100, keywords=keywords, content=keywords,
+        uuid="m-tick",
+    ))
+    if start:
+        world._run_up_batch(start)
+    world.engine.run_until(1_000.0)
+    for node, keyword, weight, last_contact in seeds:
+        _seed_transient(substrate.table(node), keyword, weight, last_contact)
+    world._run_up_batch(tick)
+    return recorder.records, substrate
+
+
+def _assert_same_tables(batched, per_pair, n_nodes):
+    """Equal weights, direct and present flags, and ``T_l`` on present
+    cells (an absent cell's ``T_l`` is never read)."""
+    for node in range(n_nodes):
+        a = batched.table(node)
+        b = per_pair.table(node)
+        assert np.array_equal(a._weight, b._weight), node
+        assert np.array_equal(a._direct, b._direct), node
+        assert np.array_equal(a._present, b._present), node
+        assert np.array_equal(a._last[a._present], b._last[b._present]), node
+
+
+def _membership_order_tick(substrate):
+    """The tick where ``p``'s prune decides what ``n``'s decay stamps.
+
+    ``p`` holds keyword ``k`` as a transient at 5e-4, last stamped
+    1,000 s ago, so its first decay (pair ``(p, x)``) divides it by 10
+    and prunes it.  ``n`` holds ``k`` at 0.4, just as stale; its first
+    pair is ``(p, n)``, so its decay reads ``p``'s membership after the
+    prune, leaves ``k`` unstamped and divides it.  Read at tick start,
+    ``p`` would still hold ``k`` and ``n``'s ``k`` would be stamped
+    instead.  (``n`` cannot read ``p`` through a tick-start link: ``p``
+    would then read ``n``'s ``k`` and stamp its own.)
+    """
+    p, n, x = 0, 1, 2
+    return _run_tick(
+        substrate, 3, [[], [], []], start=[],
+        seeds=[(p, "k", 5e-4, 0.0), (n, "k", 0.4, 0.0)],
+        tick=[(p, x), (p, n)], message=(x, ("k",)),
+    )
+
+
+def test_prune_orders_later_decays():
+    per_pair, per_pair_router = _membership_order_tick(_PerPairChitChat())
+    n_table = per_pair_router.table(1)
+    assert n_table.weight("k") == 0.4 / 10.0
+    assert "k" not in per_pair_router.table(0)
+    batched, batched_router = _membership_order_tick(ChitChatRouter())
+    assert batched == per_pair
+    _assert_same_tables(batched_router, per_pair_router, 3)
+
+
+_KEYWORDS = ("k0", "k1", "k2", "k3", "k4")
+
+
+@st.composite
+def decay_ticks(draw):
+    """One up tick with repeated nodes over seeded, prune-prone rows."""
+    n_nodes = draw(st.integers(min_value=5, max_value=8))
+    pairs = [(a, b) for a in range(n_nodes) for b in range(a + 1, n_nodes)]
+    interests = [
+        draw(st.lists(st.sampled_from(_KEYWORDS), max_size=2, unique=True))
+        for _ in range(n_nodes)
+    ]
+    start = draw(st.lists(st.sampled_from(pairs), max_size=5, unique=True))
+    tick = draw(st.lists(
+        st.sampled_from([pair for pair in pairs if pair not in start]),
+        min_size=2, max_size=6, unique=True,
+    ))
+    nodes = [node for pair in tick for node in pair]
+    assume(len(set(nodes)) < len(nodes))
+    seeds = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=n_nodes - 1),
+            st.sampled_from(_KEYWORDS),
+            st.floats(min_value=2e-4, max_value=5e-3),
+            st.floats(min_value=0.0, max_value=990.0),
+        ),
+        max_size=16,
+    ))
+    message = (
+        draw(st.integers(min_value=0, max_value=n_nodes - 1)),
+        tuple(draw(st.lists(
+            st.sampled_from(_KEYWORDS), min_size=1, max_size=2, unique=True,
+        ))),
+    )
+    return n_nodes, interests, start, seeds, tick, message
+
+
+@given(decay_ticks())
+@settings(max_examples=200, deadline=None)
+def test_batched_tick_matches_per_pair_states(scenario):
+    """Random ticks: equal trace records and equal table states."""
+    n_nodes = scenario[0]
+    per_pair, per_pair_router = _run_tick(_PerPairChitChat(), *scenario)
+    batched, batched_router = _run_tick(ChitChatRouter(), *scenario)
+    assert batched == per_pair
+    _assert_same_tables(batched_router, per_pair_router, n_nodes)
+
+
 def _trace_lines(path):
     mapping = {}
     with open(path, encoding="utf-8") as handle:
         return [normalise(line.rstrip("\n"), mapping) for line in handle]
 
 
-@pytest.mark.parametrize("case", ("hetero", "churn-wipe"))
+@pytest.mark.parametrize("case", ("hetero", "churn-wipe", "city-start"))
 def test_batched_tick_matches_per_pair_tick(case, tmp_path, monkeypatch):
-    """Whole runs: the batched tick and the per-pair tick trace alike."""
+    """Whole runs: the batched tick and the per-pair tick trace alike,
+    and the batched tick never runs a per-pair decay."""
     if case == "hetero":
         config = ScenarioConfig.hetero(n_nodes=60, duration=900.0)
         scheme = "incentive-chitchat-hetero"
-    else:
+    elif case == "churn-wipe":
         config = ScenarioConfig.tiny(
             faults=FaultConfig(mean_uptime=600.0, mean_downtime=120.0)
         )
         scheme = "incentive"
+    else:
+        # The 10k tier's start-up regime at 1k nodes: most decay sides
+        # can prune.
+        config = scale_config(1_000, 300.0)
+        scheme = "incentive"
+    decays = []
+    per_pair_decay = InterestTable.decay
+
+    def counting(table, *args, **kwargs):
+        decays.append(table._row)
+        return per_pair_decay(table, *args, **kwargs)
+
+    monkeypatch.setattr(InterestTable, "decay", counting)
     batched = tmp_path / "batched.jsonl"
     run_scenario(config, scheme, seed=1, trace_path=str(batched))
+    assert decays == []
     # Both schemes build their substrate through this module name.
     monkeypatch.setattr(protocol, "ChitChatRouter", _PerPairChitChat)
     per_pair = tmp_path / "per-pair.jsonl"

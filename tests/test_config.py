@@ -1,12 +1,14 @@
 """Unit tests for scenario configuration."""
 
 import math
+import re
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
 from repro.messages.generator import DEFAULT_PROFILES
+from repro.population import NodeClassSpec
 
 
 class TestDefaults:
@@ -71,12 +73,25 @@ class TestValidation:
         ("interests_per_node", -1),
         ("profiles", ()),
         ("profiles", DEFAULT_PROFILES[:1]),  # fractions sum to 0.5
+        ("speed_range", (0.0, 1.0)),  # a moving class must move
+        ("population[walker].speed_range", {"population": (
+            NodeClassSpec("walker", 1.0, speed_range=(0.0, 2.0)),
+        )}),
+        ("manhattan_block", {  # wider than the 2,236 m area
+            "mobility": "manhattan", "manhattan_block": 10_000.0,
+        }),
+        ("population[walker].interests_per_node", {"population": (
+            NodeClassSpec("walker", 1.0, interests_per_node=10_000),
+        )}),
     ])
     def test_invalid_field_fails_at_construction(self, field_name, value):
         # Each of these used to construct and then fail inside
         # run_scenario, often under another component's parameter name.
-        with pytest.raises(ConfigurationError, match=field_name):
-            ScenarioConfig(**{field_name: value})
+        # A dict value is a set of fields, for a value that is only
+        # invalid beside another field or as a class override.
+        overrides = value if isinstance(value, dict) else {field_name: value}
+        with pytest.raises(ConfigurationError, match=re.escape(field_name)):
+            ScenarioConfig(**overrides)
 
     def test_boundary_values_accepted(self):
         ScenarioConfig(
@@ -90,6 +105,9 @@ class TestValidation:
             role_levels=("private",),
             role_fractions=(1.0,),
         )
+        # Standing still is fine for static nodes.
+        ScenarioConfig(mobility="static", speed_range=(0.0, 0.0))
+        ScenarioConfig.hetero()  # its infrastructure class is static
 
 
 class TestHelpers:
