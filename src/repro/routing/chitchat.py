@@ -23,6 +23,8 @@ bound in seconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -127,9 +129,17 @@ class KeywordIndex:
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
-# Row-count ceiling below which decay/growth take a pure-Python scalar
+#: Pads ``ChitChatRouter._key_ids`` rows: past every store column.
+_PAD = np.iinfo(np.int64).max
+#: A receiver's role, indexed by "holds a direct interest".
+_ROLES = ("relay", "destination")
+_MEMO_KEY = attrgetter("_memo_key")
+_UUID = attrgetter("uuid")
+_SIZE = attrgetter("size")
+
+# Row-count ceiling below which growth takes a pure-Python scalar
 # path: at a few dozen rows, per-ufunc dispatch (~1µs each, and the
-# compact paths need a dozen ufuncs) costs more than an interpreted
+# compact path needs a dozen ufuncs) costs more than an interpreted
 # loop over Python floats.  Both paths evaluate the identical IEEE
 # expression per row, so the crossover is a pure speed knob — results
 # are bit-identical on either side of it (tests/test_chitchat.py pins
@@ -172,8 +182,6 @@ class InterestTable:
         self._keywords_view_key: int = -1
         self._ids_view: Optional[np.ndarray] = None
         self._ids_view_key: int = -1
-        self._ids_list_view: Optional[List[int]] = None
-        self._ids_list_key: int = -1
         #: ``(now, version, _members_version)`` when the last decay left
         #: the table *fully stamped* (no present row with ``T_l < now``);
         #: while it still matches, a decay at ``now`` is a no-op that
@@ -270,28 +278,33 @@ class InterestTable:
     def sum_for(self, keywords: Iterable[str]) -> float:
         """``S`` — the sum of weights over ``keywords``.
 
-        Deliberately a scalar loop in caller order: float addition is
-        not associative, and bit-identical results require replaying
-        exactly the historical accumulation order.
+        Deliberately a scalar loop in caller order with explicit adds:
+        float addition is not associative, and bit-identical results
+        require replaying exactly the historical accumulation order
+        (builtin ``sum()`` compensates float sums from CPython 3.12 on).
         """
-        return sum(self.weight(k) for k in keywords)
+        total = 0
+        for keyword in keywords:
+            total += self.weight(keyword)
+        return total
 
     def sum_for_ids(self, ids: np.ndarray) -> float:
         """``S`` over pre-resolved keyword ids, in array order.
 
         Bit-identical to :meth:`sum_for` over the same keywords in the
-        same order: absent rows contribute exactly ``0.0``, and adding
-        ``0.0`` never changes an IEEE sum (weights are never ``-0.0``),
-        so dropping out-of-range ids is safe.  The accumulation itself
-        stays a sequential left-to-right Python sum.
+        same order, and to the selection kernel's column adds: absent
+        rows contribute exactly ``0.0``, and adding ``0.0`` never
+        changes an IEEE sum (weights are never ``-0.0``), so dropping
+        out-of-range ids is safe.
         """
-        capacity = self._present.size
-        valid = ids[ids < capacity]
-        if valid.size == 0:
-            return 0 if ids.size == 0 else 0.0
+        if ids.size == 0:
+            return 0
+        total = 0.0
         # Absent rows hold weight 0.0 by invariant (pruning and
         # deletion zero the row), so no presence mask is needed.
-        return sum(self._weight[valid].tolist())
+        for weight in self._weight[ids[ids < self._present.size]].tolist():
+            total += weight
+        return total
 
     def any_direct_ids(self, ids: np.ndarray) -> bool:
         """Whether any of the pre-resolved ids is a direct interest."""
@@ -302,81 +315,6 @@ class InterestTable:
         # ndarray.any() rather than np.any(): the module-level wrapper's
         # dispatch overhead is measurable at hot-path call counts.
         return bool((self._present[valid] & self._direct[valid]).any())
-
-    def batch_fill(
-        self,
-        misses: List[Tuple[Tuple[str, ...], np.ndarray]],
-        sums: Dict[Tuple[str, ...], float],
-        roles: Optional[Dict[Tuple[str, ...], str]],
-    ) -> None:
-        """Fill sum/role memo dicts for many keyword-id arrays at once.
-
-        One concatenated gather replaces a per-key
-        :meth:`sum_for_ids` + :meth:`any_direct_ids` pair — the
-        dominant per-message cost of offering a full buffer during a
-        contact.  Bit-identical to the per-key calls: out-of-range ids
-        are redirected to row 0 but their fetched weight is overwritten
-        with exactly ``0.0`` (what an absent row holds — adding it
-        never changes an IEEE sum, and weights are never ``-0.0``) and
-        their direct flag with ``False``; each key's sum then replays
-        the same left-to-right Python accumulation over its own slice.
-        """
-        capacity = self._present.size
-        if capacity == 0:
-            for key, ids in misses:
-                sums[key] = 0 if ids.size == 0 else 0.0
-                if roles is not None:
-                    roles[key] = "relay"
-            return
-        if len(misses) == 1:
-            key, ids = misses[0]
-            sums[key] = self.sum_for_ids(ids)
-            if roles is not None:
-                roles[key] = (
-                    "destination" if self.any_direct_ids(ids) else "relay"
-                )
-            return
-        cat = np.concatenate([ids for _, ids in misses])
-        if cat.size == 0:
-            for key, ids in misses:
-                sums[key] = 0
-                if roles is not None:
-                    roles[key] = "relay"
-            return
-        if int(cat.max()) < capacity:
-            # Common case: every id is in range (the shared index only
-            # outruns a table's arrays briefly, until its next growth
-            # tick) — no masking needed.
-            values = self._weight[cat].tolist()
-            flags = (
-                (self._present[cat] & self._direct[cat]).tolist()
-                if roles is not None
-                else None
-            )
-        else:
-            ok = cat < capacity
-            safe = np.where(ok, cat, 0)
-            weights = self._weight[safe]
-            weights[~ok] = 0.0
-            values = weights.tolist()
-            flags = (
-                (self._present[safe] & self._direct[safe] & ok).tolist()
-                if roles is not None
-                else None
-            )
-        start = 0
-        for key, ids in misses:
-            size = ids.size
-            end = start + size
-            if size == 0:
-                sums[key] = 0
-            else:
-                sums[key] = sum(values[start:end])
-            if flags is not None:
-                roles[key] = (
-                    "destination" if any(flags[start:end]) else "relay"
-                )
-            start = end
 
     def average_for(self, keywords: Iterable[str]) -> float:
         """Average weight over ``keywords`` (0 for an empty set)."""
@@ -414,8 +352,6 @@ class InterestTable:
         self._keywords_view_key = -1
         self._ids_view = None
         self._ids_view_key = -1
-        self._ids_list_view = None
-        self._ids_list_key = -1
         self._stamped = None
         for keyword in direct_interests:
             keyword_id = self._slot(keyword)
@@ -502,59 +438,12 @@ class InterestTable:
         # are computed, never *how*.
         rows = self.present_ids()
         weight = self._weight
-        if rows.size <= _SCALAR_ROWS_MAX:
-            # Scalar path: same expression per row (Python floats are
-            # the same IEEE doubles), no ufunc dispatch.  The list view
-            # of the present rows is cached per membership version,
-            # like the array view it mirrors.
-            if self._ids_list_key != self._members_version:
-                self._ids_list_view = rows.tolist()
-                self._ids_list_key = self._members_version
-            rows_l = self._ids_list_view
-            last_l = last[rows].tolist()
-            stale_ids: List[int] = []
-            stale_elapsed: List[float] = []
-            for i, t in zip(rows_l, last_l):
-                e = now - t
-                if e > 0.0:
-                    stale_ids.append(i)
-                    stale_elapsed.append(e)
-            if not stale_ids:
-                # Nothing decayed and nothing was pruned, so every
-                # memoised sum/classification keyed on :attr:`version`
-                # is still exact — the version deliberately does NOT
-                # move (both paths).
-                self._stamped = (now, self.version, self._members_version)
-                return
-            self.version += 1
-            old_l = weight[stale_ids].tolist()
-            direct_l = self._direct[stale_ids].tolist()
-            new_l: List[float] = []
-            dead_ids: List[int] = []
-            for k in range(len(stale_ids)):
-                den = beta * stale_elapsed[k]
-                if den < 1.0:
-                    den = 1.0
-                if direct_l[k]:
-                    decayed = (old_l[k] - 0.5) / den + 0.5
-                else:
-                    decayed = (old_l[k] - 0.0) / den + 0.0
-                    if decayed < prune_below:
-                        dead_ids.append(stale_ids[k])
-                new_l.append(decayed)
-            weight[stale_ids] = new_l
-            if dead_ids:
-                weight[dead_ids] = 0.0
-                present[dead_ids] = False
-                self._members_version += 1
-                if len(dead_ids) == len(stale_ids):
-                    self._stamped = (
-                        now, self.version, self._members_version
-                    )
-            return
         elapsed = now - last[rows]
         stale = elapsed > 0.0
         if not stale.any():
+            # Nothing decayed and nothing was pruned, so every memoised
+            # sum/classification keyed on :attr:`version` is still
+            # exact — the version deliberately does NOT move.
             self._stamped = (now, self.version, self._members_version)
             return
         self.version += 1
@@ -1066,6 +955,13 @@ class ChitChatRouter(Router):
         #: nothing is left to write, else the stashed result
         #: ``run_rtsr_decay`` writes at the pair's point.
         self._planned: Dict[Tuple[int, int], List[Optional[tuple]]] = {}
+        #: (sender, receiver) -> the side's :meth:`_select_sides` result
+        #: for this tick, valid only inside the engine event stamped in
+        #: :attr:`_selected_at` as ``(engine, now, events fired)``.
+        self._selected: Dict[Tuple[int, int], tuple] = {}
+        self._selected_at: Optional[Tuple[object, float, int]] = None
+        #: Sender -> (buffer, ``_mutations``, messages, uuids, max size).
+        self._entries: Dict[int, tuple] = {}
         # Interned memo keys: ordered keyword sequence -> small int.
         # Messages cache their key in ``_memo_key`` (invalidated on
         # annotate), so the hot paths hash one int instead of a string
@@ -1076,8 +972,11 @@ class ChitChatRouter(Router):
         # key.  Ids follow the iteration order of the message's
         # keyword frozenset (identical sequences build identically
         # iterating frozensets), which is the order the scalar sum
-        # accumulated in — the bit-parity requirement.
+        # accumulated in — the bit-parity requirement.  ``_key_ids``
+        # holds the same ids as one row per key, padded with ``_PAD``,
+        # for the selection kernel's gathers.
         self._message_id_cache: Dict[int, np.ndarray] = {}
+        self._key_ids = np.full((64, 4), _PAD, dtype=np.int64)
         # Retransmission attempts used: message uuid -> {receiver_id ->
         # attempts}.  Grouped by uuid so the whole book for a message
         # drops in O(1) when its TTL expires, and a receiver's budget
@@ -1143,7 +1042,8 @@ class ChitChatRouter(Router):
         """Assign (or look up) the interned memo key for ``message``.
 
         Cold path of the ``message._memo_key`` cache: sequences seen
-        before reuse their int, new ones take the next one.
+        before reuse their int, new ones take the next one and resolve
+        their keyword ids at once (as every caller did right after).
         """
         sequence = message.keyword_sequence
         keys = self._memo_keys
@@ -1151,6 +1051,7 @@ class ChitChatRouter(Router):
         if key is None:
             key = len(keys)
             keys[sequence] = key
+            self._message_ids(message, key)
         message._memo_key = key
         return key
 
@@ -1167,6 +1068,14 @@ class ChitChatRouter(Router):
                 [id_of(k) for k in message.keywords], dtype=np.int64
             )
             self._message_id_cache[key] = ids
+            padded = self._key_ids
+            rows, width = padded.shape
+            if key >= rows or ids.size > width:
+                padded = self._key_ids = np.pad(padded, (
+                    (0, max(0, 2 * key + 2 - rows)),
+                    (0, max(0, ids.size - width)),
+                ), constant_values=_PAD)
+            padded[key, :ids.size] = ids
         return ids
 
     def _connected_ids(self, node_id: int) -> np.ndarray:
@@ -1273,91 +1182,132 @@ class ChitChatRouter(Router):
     def select_messages(
         self, sender_id: int, receiver_id: int
     ) -> List[Tuple[Message, str]]:
-        """Messages ``sender`` should offer ``receiver``, with their role.
+        """Messages ``sender`` should offer ``receiver``, with their role:
+        destinations first, then relays by descending receiver interest
+        strength (so the most valuable transfers survive short contacts).
 
-        Returns:
-            ``(message, "destination"|"relay")`` pairs, destinations
-            first, then relays by descending receiver interest strength
-            (so the most valuable transfers survive short contacts).
+        Inside a contact-up tick this is the side's result from
+        :meth:`prepare_contact_batch`; elsewhere :meth:`_select_sides`
+        runs on this one side over the store rows.  Either way the
+        side's memo entries are written now.
         """
-        sender = self.world.node(sender_id)
-        if len(sender.buffer) == 0:
-            return []
-        receiver = self.world.node(receiver_id)
+        stored = self._selected.pop((sender_id, receiver_id), None)
+        if stored is not None:
+            engine, now, fired = self._selected_at
+            if engine.events_fired != fired or engine.now != now:
+                stored = None
+        if stored is None:
+            if not len(self.world.node(sender_id).buffer):
+                return []
+            row_r = self.table(receiver_id)._row
+            row_s = self.table(sender_id)._row
+            stored = self._select_sides(
+                [(sender_id, receiver_id)], self._store._w,
+                np.array([row_s]), np.array([row_r]),
+            )[0]
+        offers, keys, sums_r, roles_r, sums_s = stored
+        if keys:
+            memo = self._memo(receiver_id)
+            memo[1].update(zip(keys, sums_r))
+            memo[2].update(zip(keys, roles_r))
+            self._memo(sender_id)[1].update(zip(keys, sums_s))
+        return offers
 
-        # Memo-dict setup first: both endpoint tables already exist
-        # (prepare_contact decayed them), so the lookups create nothing.
-        # The batch fills the same version-keyed dicts that
-        # classify()/interest_sum() consult, one gather per table for
-        # every cold key (the receive path afterwards hits warm
-        # entries).  Sender sums are filled for destinations too —
-        # harmless extra memo entries, and cheaper in the batch than a
-        # second cold pass for the relay comparison.
-        table_r = self.table(receiver_id)
-        cached = self._sum_cache.get(receiver_id)
-        if cached is None or cached[0] != table_r.version:
-            cached = (table_r.version, {}, {})
-            self._sum_cache[receiver_id] = cached
-        sums_r = cached[1]
-        roles_r = cached[2]
-        table_s = self.table(sender_id)
-        cached = self._sum_cache.get(sender_id)
-        if cached is None or cached[0] != table_s.version:
-            cached = (table_s.version, {}, {})
-            self._sum_cache[sender_id] = cached
-        sums_s = cached[1]
+    def _memo(self, node_id: int) -> tuple:
+        """``node_id``'s memo entry for its table's current version."""
+        version = self._tables[node_id].version
+        cached = self._sum_cache.get(node_id)
+        if cached is None or cached[0] != version:
+            cached = self._sum_cache[node_id] = (version, {}, {})
+        return cached
 
-        # Single pass: per-message filters fused with cold-key
-        # collection.
-        candidates: List[Tuple[int, Message]] = []
-        miss_r: List[Tuple[int, np.ndarray]] = []
-        miss_s: List[Tuple[int, np.ndarray]] = []
-        has_seen = receiver.has_seen
-        receiver_capacity = receiver.buffer.capacity
-        intern_key = self._intern_key
-        for message in sender.buffer.messages():
-            if has_seen(message.uuid):
-                continue
-            if message.size > receiver_capacity:
-                continue
-            key = message._memo_key
-            if key is None:
-                key = intern_key(message)
-            candidates.append((key, message))
-            # interest_sum()/classify() each warm only their own dict,
-            # so sums and roles can be cold independently; recomputing
-            # a warm half alongside the cold one is bit-identical.
-            if key not in sums_r or key not in roles_r:
-                sums_r[key] = None  # reserve so duplicates batch once
-                roles_r[key] = None
-                miss_r.append((key, self._message_ids(message, key)))
-            if key not in sums_s:
-                sums_s[key] = None
-                miss_s.append((key, self._message_ids(message, key)))
-        if not candidates:
-            return []
-        if miss_r:
-            table_r.batch_fill(miss_r, sums_r, roles_r)
-        if miss_s:
-            table_s.batch_fill(miss_s, sums_s, None)
+    def _select_sides(
+        self,
+        sides: List[Tuple[int, int]],
+        weights: np.ndarray,
+        sender_rows: np.ndarray,
+        receiver_rows: np.ndarray,
+    ) -> List[tuple]:
+        """The selection kernel: every side's offers in one array pass.
 
-        # Pass 3: the original per-message decision, now pure dict
-        # reads.  ``strength > sums_s[key]`` is wants_as_relay() on the
-        # identical floats.
-        destinations: List[Tuple[float, Message]] = []
-        relays: List[Tuple[float, Message]] = []
-        for key, message in candidates:
-            strength = sums_r[key]
-            if roles_r[key] == "destination":
-                destinations.append((strength, message))
-            elif strength > sums_s[key]:
-                relays.append((strength, message))
-        destinations.sort(key=lambda item: (-item[0], item[1].uuid))
-        relays.sort(key=lambda item: (-item[0], item[1].uuid))
-        return (
-            [(m, "destination") for _, m in destinations]
-            + [(m, "relay") for _, m in relays]
-        )
+        Side ``j`` is ``sides[j] = (sender, receiver)``, with a non-empty
+        sender buffer and its weights in rows ``sender_rows[j]`` and
+        ``receiver_rows[j]`` of ``weights``.  Its candidates are the
+        messages the receiver has not seen and can hold (one ``seen``
+        test per entry, mapped in C; new memo keys interned in buffer
+        order).  ``S`` adds a message's keyword ids in frozenset order,
+        one column at a time; padding and ids past the store's columns
+        add ``+0.0``, so each sum equals ``sum_for_ids`` bit for bit.
+        Kept: destinations, then relays with ``S_receiver > S_sender``,
+        each by ``(-S_receiver, uuid)``.  Returns per side ``(offers,
+        keys, receiver sums, receiver roles, sender sums)``.
+        """
+        node = self.world.node
+        entries = self._entries
+        # Per entry: seen by the receiver, the message; per side: its
+        # first entry; (first entry, messages, capacity) where some
+        # message is larger than the receiver's whole buffer.
+        flags, messages, starts, oversized = [], [], [], []
+        for sender_id, receiver_id in sides:
+            buffer = node(sender_id).buffer
+            entry = entries.get(sender_id)
+            if (
+                entry is None or entry[0] is not buffer
+                or entry[1] != buffer._mutations
+            ):
+                listed = buffer.messages()
+                entry = entries[sender_id] = (
+                    buffer, buffer._mutations, listed,
+                    list(map(_UUID, listed)), buffer.size_quality_maxima()[0],
+                )
+            receiver = node(receiver_id)
+            capacity = receiver.buffer.capacity
+            starts.append(len(flags))
+            if entry[4] > capacity:
+                oversized.append((len(flags), entry[2], capacity))
+            flags.extend(map(receiver.seen.__contains__, entry[3]))
+            messages.extend(entry[2])
+        take = ~np.array(flags, dtype=bool)
+        for start, listed, capacity in oversized:
+            sizes = np.fromiter(map(_SIZE, listed), np.int64, len(listed))
+            take[start:start + len(listed)] &= sizes <= capacity
+        counts = np.add.reduceat(take, starts, dtype=np.intp)
+        candidates = list(compress(messages, take.tolist()))
+        keys = list(map(_MEMO_KEY, candidates))
+        if None in keys:
+            for c, key in enumerate(keys):
+                if key is None:
+                    keys[c] = self._intern_key(candidates[c])
+        side_of = np.repeat(np.arange(len(sides)), counts)
+        ids = self._key_ids[np.array(keys, dtype=np.intp)]
+        ok = ids < weights.shape[1]
+        safe = np.where(ok, ids, 0)
+        rows = np.stack((receiver_rows, sender_rows))[:, side_of, None]
+        values = np.where(ok, weights[rows, safe], 0.0)
+        total = values[:, :, 0]
+        for column in range(1, ids.shape[1]):
+            total = total + values[:, :, column]
+        rows = np.array([self._tables[r]._row for _, r in sides])
+        rows = rows[side_of, None]
+        store = self._store
+        direct = (store._p[rows, safe] & store._d[rows, safe] & ok).any(axis=1)
+        kept = np.flatnonzero(direct | (total[0] > total[1])).tolist()
+        sums_r, sums_s = total.tolist()
+        for c in np.flatnonzero(ids[:, 0] == _PAD).tolist():
+            # A keyword-less message: ``S`` is the empty sum, int 0.
+            sums_r[c] = sums_s[c] = 0
+        roles = list(map(_ROLES.__getitem__, direct.tolist()))
+        offers: List[List[Tuple[Message, str]]] = [[] for _ in sides]
+        for side, _, _, _, c in sorted(
+            (side, roles[c] == "relay", -sums_r[c], candidates[c].uuid, c)
+            for c, side in zip(kept, side_of[kept].tolist())
+        ):
+            offers[side].append((candidates[c], roles[c]))
+        ends = np.cumsum(counts).tolist()
+        return [
+            (offers[j], keys[a:b], sums_r[a:b], roles[a:b], sums_s[a:b])
+            for j, (a, b) in enumerate(zip([0] + ends, ends))
+        ]
 
     def relay_affinity(self, node_id: int, message: Message) -> float:
         """ChitChat's relay preference is the interest sum ``S``."""
@@ -1383,34 +1333,35 @@ class ChitChatRouter(Router):
     def prepare_contact_batch(
         self, pairs: List[Tuple[int, int]]
     ) -> None:
-        """Plan every decay side of a contact-up tick in dependency rounds.
+        """Decay and select for a whole contact-up tick, in array passes.
 
-        The world calls this once per contact-up tick with every
-        admitted pair, before any link opens.  Side ``(n, k)`` is node
-        ``n``'s decay at pair ``k``; per pair it reads ``n``'s row and
-        the membership of ``n``'s tick-start open peers and of its
-        partners up to pair ``k``.  Each side is computed in a round
-        that sees exactly those inputs (the proof is in DESIGN.md §9).
-        A node's first side is written to the store here through
-        :meth:`InterestStore.batch_decay`, unless an earlier pair reads
-        the node through a tick-start open link; that side and every
-        later one are stashed in :attr:`_planned` for
-        ``run_rtsr_decay`` to write at the pair's point.
+        The world calls this once per tick with every admitted pair,
+        before any link opens.  :meth:`_plan_decay` (DESIGN.md §9) hands
+        over both endpoints' rows at every pair with a non-empty sender
+        buffer, and :meth:`_select_sides` selects those sides into
+        :attr:`_selected` (DESIGN.md §10).
         """
         planned = self._planned
         planned.clear()
-        store = self._store
-        now = self.world.now
-        beta = self.beta
+        self._selected.clear()
+        world = self.world
+        engine = world.engine
+        self._selected_at = (engine, engine.now, engine.events_fired)
         tables = self._tables
+        node = world.node
         # Each node's first pair and side count; the tables the tick's
         # decays would create (fresh contents do not depend on creation
-        # order within the tick).
+        # order within the tick); the sides with a non-empty sender
+        # buffer, and each such pair's first row in ``side_rows``.
         first: Dict[int, int] = {}
         count: Dict[int, int] = {}
+        busy: Set[int] = set()
+        sides: List[Tuple[int, int]] = []
+        sender_rows: List[int] = []
+        need: Dict[int, int] = {}
         for k, pair in enumerate(pairs):
             planned[pair] = [None, None]
-            for n in pair:
+            for slot, n in enumerate(pair):
                 if n in count:
                     count[n] += 1
                 else:
@@ -1418,6 +1369,46 @@ class ChitChatRouter(Router):
                     count[n] = 1
                     if n not in tables:
                         self.table(n)
+                    if node(n).buffer._messages:
+                        busy.add(n)
+                if n in busy:
+                    sides.append((n, pair[1 - slot]))
+                    base = need.setdefault(k, 2 * len(need))
+                    sender_rows.append(base + slot)
+        # Both endpoints' weights at each pair in ``need``: tick-start
+        # rows until the plan hands over the decayed ones.
+        side_rows = self._store._w[
+            [tables[n]._row for k in need for n in pairs[k]]
+        ]
+        self._plan_decay(pairs, first, count, need, side_rows)
+        if sides:
+            # A pair's rows are ``2m`` and ``2m + 1``: flipping the low
+            # bit of the sender's row gives the receiver's.
+            sender_rows = np.array(sender_rows)
+            self._selected.update(zip(sides, self._select_sides(
+                sides, side_rows, sender_rows, sender_rows ^ 1,
+            )))
+
+    def _plan_decay(self, pairs, first, count, need, side_rows) -> None:
+        """Plan every decay side of the tick in dependency rounds.
+
+        Side ``(n, k)`` is node ``n``'s decay at pair ``k``; it reads
+        ``n``'s row and the membership of ``n``'s tick-start open peers
+        and of its partners up to pair ``k``, and runs in a round that
+        sees exactly those inputs (DESIGN.md §9).  A node's first side
+        is written to the store here (:meth:`InterestStore.batch_decay`)
+        unless an earlier pair reads the node through a tick-start open
+        link; that side and every later one are stashed in
+        :attr:`_planned` for ``run_rtsr_decay``.  ``first`` and ``count``
+        give each node's first pair and side count; a side of a pair
+        ``k`` in ``need`` also writes its row to ``side_rows[need[k] +
+        slot]``.
+        """
+        planned = self._planned
+        store = self._store
+        now = self.world.now
+        beta = self.beta
+        tables = self._tables
         nodes = list(first)
         rows = np.fromiter(
             (tables[n]._row for n in nodes), dtype=np.intp, count=len(nodes)
@@ -1484,10 +1475,12 @@ class ChitChatRouter(Router):
         last = [-1] * n_active
         prune_round = [-1] * n_active
         # Per round: the sides written now, then the stashed ones, each
-        # as (scratch index, membership rows read, pair, slot).
-        rounds: List[Tuple[list, list]] = []
+        # as (scratch index, membership rows read, pair, slot); then the
+        # ``side_rows`` rows it hands over and their scratch indices.
+        rounds: List[Tuple[list, list, list, list]] = []
         open_links = self.world.open_links
         for k, pair in enumerate(pairs):
+            base = need.get(k)
             for slot in (0, 1):
                 n = pair[slot]
                 i = index.get(n, n_active)
@@ -1522,10 +1515,13 @@ class ChitChatRouter(Router):
                 if first_prune[i] and s >= first_prune[i]:
                     prune_round[i] = r
                 if r == len(rounds):
-                    rounds.append(([], []))
+                    rounds.append(([], [], [], []))
                 rounds[r][stash].append((i, len(source), pair, slot))
+                if base is not None:
+                    rounds[r][2].append(base + slot)
+                    rounds[r][3].append(i)
         members = store._p[member_rows]
-        for now_sides, stashed in rounds:
+        for now_sides, stashed, handed, outputs in rounds:
             # Every side's mask from the pre-round membership, OR-ed as
             # 64-bit words (store rows are whole words).
             flat: List[int] = []
@@ -1551,6 +1547,8 @@ class ChitChatRouter(Router):
                 sW[idx], sL[idx], members[idx] = block[:3]
                 for (_, _, pair, slot), side in zip(stashed, zip(*block)):
                     planned[pair][slot] = side
+            if handed:
+                side_rows[handed] = sW[outputs]
 
     def on_contact_start(self, link: Link) -> None:
         self.prepare_contact(link)

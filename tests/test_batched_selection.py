@@ -11,6 +11,10 @@ references:
   where hoisting a tick-start open peer's decay once changed an offer,
   and on the tick where a prune changes what a later decay stamps
   (DESIGN.md §9).
+* The selection kernel (``ChitChatRouter._select_sides``), over a whole
+  tick or on one side, must offer what the per-message loop it
+  replaced offers and leave the same memo entries, and a tick's stored
+  result must not outlive the tick (DESIGN.md §10).
 * ``ReputationSystem.exchange_batch`` — the grouped searchsorted merge
   over all safe pairs of a tick — must leave every book bit-identical
   to pairwise ``exchange`` calls, never share storage between books
@@ -259,7 +263,8 @@ def _trace_lines(path):
 @pytest.mark.parametrize("case", ("hetero", "churn-wipe", "city-start"))
 def test_batched_tick_matches_per_pair_tick(case, tmp_path, monkeypatch):
     """Whole runs: the batched tick and the per-pair tick trace alike,
-    and the batched tick never runs a per-pair decay."""
+    and the batched tick never runs a per-pair decay or a one-side
+    selection."""
     if case == "hetero":
         config = ScenarioConfig.hetero(n_nodes=60, duration=900.0)
         scheme = "incentive-chitchat-hetero"
@@ -281,9 +286,22 @@ def test_batched_tick_matches_per_pair_tick(case, tmp_path, monkeypatch):
         return per_pair_decay(table, *args, **kwargs)
 
     monkeypatch.setattr(InterestTable, "decay", counting)
+    one_side = []
+    kernel = ChitChatRouter._select_sides
+
+    def counting_select(router, sides, weights, *rows):
+        # The one-side form reads the store; the tick's form reads the
+        # side rows its plan handed over.
+        if weights is router._store._w:
+            one_side.extend(sides)
+        return kernel(router, sides, weights, *rows)
+
+    monkeypatch.setattr(ChitChatRouter, "_select_sides", counting_select)
     batched = tmp_path / "batched.jsonl"
     run_scenario(config, scheme, seed=1, trace_path=str(batched))
     assert decays == []
+    # Every side with a non-empty sender buffer took its batched result.
+    assert one_side == []
     # Both schemes build their substrate through this module name.
     monkeypatch.setattr(protocol, "ChitChatRouter", _PerPairChitChat)
     per_pair = tmp_path / "per-pair.jsonl"
@@ -295,6 +313,236 @@ def test_batched_tick_matches_per_pair_tick(case, tmp_path, monkeypatch):
             json.loads(line).get("wiped") is True for line in lines
         ), "no churn wipe happened"
     assert _trace_lines(per_pair) == lines
+
+
+# ----------------------------------------------------------------------
+# Selection kernel vs the per-message loop
+# ----------------------------------------------------------------------
+def _memo_of(router, node_id):
+    """``(sums, roles)`` memo entries for the table's current version."""
+    version = router.table(node_id).version
+    cached = router._sum_cache.get(node_id)
+    if cached is None or cached[0] != version:
+        cached = router._sum_cache[node_id] = (version, {}, {})
+    return cached[1], cached[2]
+
+
+def _reference_select(router, sender_id, receiver_id):
+    """The per-message selection loop the kernel replaced.
+
+    Each candidate (unseen, fits the receiver's buffer) fills its cold
+    memo entries from ``sum_for_ids`` / ``any_direct_ids``; the offers
+    are the destinations, then the relays with ``S_r > S_s``, each by
+    ``(-S_r, uuid)``.
+    """
+    sender = router.world.node(sender_id)
+    if len(sender.buffer) == 0:
+        return []
+    receiver = router.world.node(receiver_id)
+    table_r = router.table(receiver_id)
+    table_s = router.table(sender_id)
+    sums_r, roles_r = _memo_of(router, receiver_id)
+    sums_s, _ = _memo_of(router, sender_id)
+    destinations, relays = [], []
+    for message in sender.buffer.messages():
+        if receiver.has_seen(message.uuid):
+            continue
+        if message.size > receiver.buffer.capacity:
+            continue
+        key = message._memo_key
+        if key is None:
+            key = router._intern_key(message)
+        ids = router._message_ids(message, key)
+        if key not in sums_r or key not in roles_r:
+            sums_r[key] = table_r.sum_for_ids(ids)
+            roles_r[key] = (
+                "destination" if table_r.any_direct_ids(ids) else "relay"
+            )
+        if key not in sums_s:
+            sums_s[key] = table_s.sum_for_ids(ids)
+        strength = sums_r[key]
+        if roles_r[key] == "destination":
+            destinations.append((strength, message))
+        elif strength > sums_s[key]:
+            relays.append((strength, message))
+    destinations.sort(key=lambda item: (-item[0], item[1].uuid))
+    relays.sort(key=lambda item: (-item[0], item[1].uuid))
+    return (
+        [(m, "destination") for _, m in destinations]
+        + [(m, "relay") for _, m in relays]
+    )
+
+
+def _typed(entries):
+    return {key: (value, type(value)) for key, value in entries.items()}
+
+
+class _LoggedBatched(ChitChatRouter):
+    """Logs every side's offers and both endpoints' memo entries."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def select_messages(self, sender_id, receiver_id):
+        offers = self._select(sender_id, receiver_id)
+        memo_s = _memo_of(self, sender_id)
+        memo_r = _memo_of(self, receiver_id)
+        self.log.append((
+            (sender_id, receiver_id),
+            [(message.uuid, role) for message, role in offers],
+            _typed(memo_s[0]), _typed(memo_r[0]), memo_r[1],
+        ))
+        return offers
+
+    def _select(self, sender_id, receiver_id):
+        return super().select_messages(sender_id, receiver_id)
+
+
+class _LoggedOneSide(_LoggedBatched):
+    supports_contact_batching = False
+
+
+class _LoggedReference(_LoggedOneSide):
+    def _select(self, sender_id, receiver_id):
+        return _reference_select(self, sender_id, receiver_id)
+
+
+_SELECT_KEYWORDS = ("k0", "k1", "k2", "k3")
+
+
+@st.composite
+def selection_ticks(draw):
+    """One up tick over full buffers, read at every side.
+
+    Nodes repeat across pairs and may have links open at tick start.
+    Buffers differ in size, so some messages do not fit some
+    receivers; some receivers have already seen some messages.  One
+    message may carry ``far``, a keyword interned past the store's
+    columns, and one may carry no keyword at all; repeated keyword
+    sequences tie on strength.
+    """
+    n_nodes = draw(st.integers(min_value=3, max_value=6))
+    pairs = [(a, b) for a in range(n_nodes) for b in range(a + 1, n_nodes)]
+    nodes = [
+        (
+            draw(st.lists(
+                st.sampled_from(_SELECT_KEYWORDS), max_size=2, unique=True,
+            )),
+            draw(st.sampled_from((1_000, 10_000))),
+        )
+        for _ in range(n_nodes)
+    ]
+    sequences = st.lists(
+        st.sampled_from(_SELECT_KEYWORDS + ("far",)), max_size=3, unique=True,
+    )
+    messages = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=n_nodes - 1),
+            sequences,
+            st.sampled_from((100, 2_000)),
+        ),
+        min_size=1, max_size=8,
+    ))
+    # Equal sequences at one source: the strength tie goes to the uuid.
+    messages.append(messages[0])
+    seen = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=n_nodes - 1),
+            st.integers(min_value=0, max_value=len(messages) - 1),
+        ),
+        max_size=6,
+    ))
+    start = draw(st.lists(
+        st.sampled_from(pairs), max_size=len(pairs) - 1, unique=True,
+    ))
+    tick = draw(st.lists(
+        st.sampled_from([pair for pair in pairs if pair not in start]),
+        min_size=1, max_size=6, unique=True,
+    ))
+    seeds = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=n_nodes - 1),
+            st.sampled_from(_SELECT_KEYWORDS),
+            st.sampled_from((2e-4, 0.05, 0.25, 0.5)),
+            st.sampled_from((0.0, 500.0, 1_000.0)),
+        ),
+        min_size=2, max_size=12,
+    ))
+    return nodes, messages, seen, start, tick, seeds
+
+
+def _selection_run(router, nodes, messages, seen, start, tick, seeds):
+    """The log of every selection at the tick's time, ``t = 1000``."""
+    world = World(
+        Engine(),
+        [
+            Node(i, interests, buffer_capacity=capacity)
+            for i, (interests, capacity) in enumerate(nodes)
+        ],
+        router, link_speed=1e9, streams=RandomStreams(7),
+    )
+    for node in range(len(nodes)):
+        router.table(node)
+    for i in range(12):
+        router.keyword_index.id_of(f"filler-{i}")
+    for i, (source, keywords, size) in enumerate(messages):
+        if size > nodes[source][1]:
+            size = 100
+        world.inject_message(make_message(
+            source=source, size=size, keywords=keywords, content=keywords,
+            uuid=f"m{i}",
+        ))
+    if start:
+        world._run_up_batch(start)
+    world.engine.run_until(1_000.0)
+    for node, index in seen:
+        world.node(node).seen.add(f"m{index}")
+    for node, keyword, weight, last_contact in seeds:
+        _seed_transient(router.table(node), keyword, weight, last_contact)
+    router.log = []
+    world._run_up_batch(tick)
+    return router.log
+
+
+@given(selection_ticks())
+@settings(max_examples=200, deadline=None)
+def test_selection_kernel_matches_per_message_loop(scenario):
+    """Batched and one-side kernels offer what the per-message loop
+    offers, side by side, and leave equal memo entries after each call."""
+    reference = _selection_run(_LoggedReference(), *scenario)
+    assert _selection_run(_LoggedOneSide(), *scenario) == reference
+    assert _selection_run(_LoggedBatched(), *scenario) == reference
+
+
+@pytest.mark.parametrize("change", ("seen", "buffer"))
+def test_stored_selection_expires_with_its_tick(change):
+    """A planned pair left unopened must not serve its stored selection
+    once its tick is over: the call then selects from the state as it
+    stands."""
+    router = ChitChatRouter()
+    world = make_world({0: [], 1: ["flood"], 2: [], 3: ["flood"]}, router)
+    for source, uuid in ((0, "m0"), (2, "m2")):
+        world.inject_message(make_message(
+            source=source, size=100, keywords=("flood",), uuid=uuid,
+        ))
+    router.prepare_contact_batch([(0, 1), (2, 3)])
+    world._open_contact((0, 1))
+    assert (2, 3) in router._selected
+    world.engine.run_until(10.0)
+    if change == "seen":
+        world.node(3).seen.add("m2")
+        expected = []
+    else:
+        world.inject_message(make_message(
+            source=2, size=100, keywords=("flood",), uuid="m2b",
+        ))
+        expected = [("m2", "destination"), ("m2b", "destination")]
+    offers = router.select_messages(2, 3)
+    assert [(m.uuid, role) for m, role in offers] == expected
+    assert [
+        (m.uuid, role) for m, role in _reference_select(router, 2, 3)
+    ] == expected
 
 
 # ----------------------------------------------------------------------

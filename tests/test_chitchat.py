@@ -1,5 +1,6 @@
 """Unit tests for ChitChat's RTSR module and routing rule."""
 
+import numpy as np
 import pytest
 
 from tests.helpers import contact, make_message, make_world, trace_of
@@ -416,12 +417,13 @@ class TestFullyStampedSkip:
 
 
 class TestScalarVectorParity:
-    """The small-table scalar fast paths must match the ufunc paths.
+    """Growth's small-table scalar fast path must match the ufunc path.
 
     ``_SCALAR_ROWS_MAX`` is a pure speed knob: every row sees the
     identical IEEE expression on either side of it, so running the same
-    history entirely through the scalar paths and entirely through the
-    vector paths must land on bit-identical table state.
+    decay and growth history entirely through the scalar path and
+    entirely through the vector path must land on bit-identical table
+    state.
     """
 
     def _seasoned(self):
@@ -465,35 +467,48 @@ class TestScalarVectorParity:
             )
             table, now = self._seasoned()
             # beta=5.0 over 13s pushes "power" (w=0.015) below the prune
-            # threshold, so the dead-row branch is exercised on both paths.
+            # threshold, so the history includes the dead-row branch.
             table.decay(now + 13.0, {"fire", "water"}, beta=5.0)
             states.append(self._state(table))
         assert states[0] == states[1]
 
-    def test_batch_fill_matches_per_key_queries(self):
-        import numpy as np
 
-        table, _ = self._seasoned()
-        capacity = table._present.size
-        id_of = table._index.id_of
-        queries = [
-            ("warm", np.asarray(
-                [id_of("flood"), id_of("water")], dtype=np.int64)),
-            ("empty", np.empty(0, dtype=np.int64)),
-            ("out-of-range", np.asarray(
-                [capacity + 5, capacity + 9], dtype=np.int64)),
-            ("mixed", np.asarray(
-                [id_of("food"), capacity + 2, id_of("rescue")],
-                dtype=np.int64)),
-        ]
-        misses = [((key,), ids) for key, ids in queries]
-        sums, roles = {}, {}
-        table.batch_fill(misses, sums, roles)
-        for (key,), ids in misses:
-            expected_sum = table.sum_for_ids(ids)
-            expected_role = (
-                "destination" if table.any_direct_ids(ids) else "relay"
-            )
-            assert sums[(key,)] == expected_sum
-            assert type(sums[(key,)]) is type(expected_sum)
-            assert roles[(key,)] == expected_role
+class TestLeftToRightSums:
+    """Every interest sum adds its weights left to right.
+
+    Ten weights of 0.1 add up to 0.9999999999999999 one add at a time;
+    builtin ``sum()`` gives 1.0 from CPython 3.12 on, because it
+    compensates float sums there.  A memo entry must not depend on
+    which path (scalar sum or selection kernel) filled it.
+    """
+
+    EXPECTED = 0.9999999999999999
+
+    def test_ten_tenths_on_every_path(self):
+        keywords = [f"k{i}" for i in range(10)]
+        router = ChitChatRouter()
+        world = make_world({0: [], 1: []}, router)
+        table = router.table(1)
+        for keyword in keywords:
+            _seed(table, keyword, 0.1, direct=False)
+        message = make_message(source=0, keywords=keywords, content=keywords)
+        key = router._intern_key(message)
+        assert table.sum_for(keywords) == self.EXPECTED
+        assert table.sum_for_ids(router._message_ids(message, key)) == (
+            self.EXPECTED
+        )
+        assert router.interest_sum(1, message) == self.EXPECTED
+        router._sum_cache.clear()
+        world.inject_message(message)
+        assert [
+            (m.uuid, role) for m, role in router.select_messages(0, 1)
+        ] == [(message.uuid, "relay")]
+        assert router._sum_cache[1][1][key] == self.EXPECTED
+
+    def test_empty_sums_stay_integers(self):
+        table = _table(["flood"])
+        assert table.sum_for([]) == 0 and type(table.sum_for([])) is int
+        empty = table.sum_for_ids(np.empty(0, dtype=np.int64))
+        assert empty == 0 and type(empty) is int
+        far = table.sum_for_ids(np.asarray([table._present.size + 3]))
+        assert far == 0.0 and type(far) is float
