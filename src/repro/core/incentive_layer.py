@@ -216,17 +216,6 @@ class IncentiveLayer(Router):
         self._pending_payments: Dict[
             int, Tuple[int, int, float, str]
         ] = {}
-        # Gossip merges already performed or planned by the tick
-        # batcher: (a, b) -> (merged_a, merged_b, deferred) where
-        # deferred is None for round-zero pairs (books written at batch
-        # time) or the book-array assignments a later planned round
-        # applies at the pair's sequential exchange point (where the
-        # trace record is emitted either way).  Cleared at the start of
-        # every batch; entries never outlive the contact-up engine
-        # event that created them.
-        self._pregossiped: Dict[
-            Tuple[int, int], Tuple[int, int, Optional[tuple]]
-        ] = {}
         self._trace = NULL_RECORDER
 
     def __getattr__(self, name: str):
@@ -422,24 +411,7 @@ class IncentiveLayer(Router):
     def _exchange(self, link: Link) -> None:
         self._expire_stale_holds()
         # RTSR+DR module: reputations travel with the interest exchange.
-        # A pair the tick batcher merged in round zero (books already
-        # written) only emits its deferred trace record here; a pair
-        # from a later planned round additionally applies its deferred
-        # book-array assignments now — its sequential exchange point —
-        # so every interleaved read sees the book step through exactly
-        # the per-pair states.  Unbatched pairs gossip as before.
-        pregossiped = self._pregossiped.pop((link.a, link.b), None)
-        if pregossiped is not None:
-            merged_a, merged_b, deferred = pregossiped
-            if deferred is not None:
-                book_a, subj_a, val_a, book_b, subj_b, val_b = deferred
-                book_a._subjects = subj_a
-                book_a._values = val_a
-                book_b._subjects = subj_b
-                book_b._values = val_b
-            self.reputation.record_gossip(link.a, link.b, merged_a, merged_b)
-        else:
-            self.reputation.exchange(link.a, link.b)
+        self.reputation.exchange(link.a, link.b)
         for sender_id in link.pair:
             receiver_id = link.peer_of(sender_id)
             for message, role in self.select_messages(sender_id, receiver_id):
@@ -605,34 +577,22 @@ class IncentiveLayer(Router):
     def on_contact_end(self, link: Link) -> None:
         self.substrate.on_contact_end(link)
 
-    # Batched contact hooks: the layer batches its own gossip exchange
-    # across the tick's safe pairs, then hands the batch to the
-    # substrate for the decay phase (offers still run per pair from
+    # Batched contact hooks: the layer plans its own gossip exchange
+    # across the tick's pairs, then hands the batch to the substrate
+    # for the decay phase (offers still run per pair from
     # on_contact_start, through the payment pipeline unchanged).
     @property
     def supports_contact_batching(self) -> bool:
         return self.substrate.supports_contact_batching
 
     def prepare_contact_batch(self, pairs) -> None:
-        # Gossip for the whole tick runs as grouped rounds.  Round-zero
-        # pairs (both endpoints' first appearance of the tick) are
-        # merged into the books immediately: no earlier pair's exchange
-        # can have touched either book (book writes inside a contact-up
-        # event come only from gossip; ratings settle with transfers at
-        # strictly later events), and no earlier pair's offers read
-        # them (compute_award only reads the offer receiver's book —
-        # a member of that earlier pair).  Later rounds are planned on
-        # scratch state and applied as deferred array assignments at
-        # each pair's sequential exchange point in _exchange, so the
-        # mid-tick book reads between exchanges see exactly the
-        # sequential states.
-        self._pregossiped.clear()
-        # Alternative reputation systems (Bayesian) have no batched
-        # exchange; their pairs all take the sequential path.
-        batch_rounds = getattr(self.reputation, "exchange_batch_rounds", None)
-        if pairs and batch_rounds is not None:
-            for a, b, merged_a, merged_b, deferred in batch_rounds(pairs):
-                self._pregossiped[(a, b)] = (merged_a, merged_b, deferred)
+        # The tick's gossip is planned in grouped rounds; each pair's
+        # exchange in _exchange then runs at its per-pair point.
+        # Alternative reputation systems (Bayesian) have no planner;
+        # their pairs merge at the exchange itself.
+        plan = getattr(self.reputation, "exchange_batch_rounds", None)
+        if pairs and plan is not None:
+            plan(pairs)
         self.substrate.prepare_contact_batch(pairs)
 
     def contact_end_batch(self, links) -> None:

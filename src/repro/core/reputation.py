@@ -251,27 +251,19 @@ class ReputationBook:
         return min(max(multiplier, 0.0), 1.0)
 
 
-class _PlannedBook:
-    """Scratch holder for a planned (not yet applied) book state.
-
-    Duck-types the two attributes :meth:`ReputationSystem._exchange_sides`
-    touches, so later gossip rounds can be merged without disturbing the
-    real books mid-tick (award computations read them between exchanges).
-    """
-
-    __slots__ = ("_subjects", "_values")
-
-    def __init__(self, subjects: np.ndarray, values: np.ndarray):
-        self._subjects = subjects
-        self._values = values
-
-
 class ReputationSystem:
     """All nodes' reputation books plus the gossip exchange."""
 
     def __init__(self, params: IncentiveParams):
         self._params = params
         self._books: Dict[int, ReputationBook] = {}
+        #: Gossip planned by :meth:`exchange_batch_rounds` whose
+        #: exchange point has not come yet: ``(a, b) -> (merged_a,
+        #: merged_b, arrays)``.  ``arrays`` is ``None`` for a round-zero
+        #: pair (its books are already written), else the
+        #: ``(subjects_a, values_a, subjects_b, values_b)`` that
+        #: :meth:`exchange` installs.
+        self._planned: Dict[Tuple[int, int], tuple] = {}
         self.trace: TraceRecorder = NULL_RECORDER
         self._clock: Optional[Callable[[], float]] = None
 
@@ -302,77 +294,6 @@ class ReputationSystem:
             self._books[node_id] = book
         return book
 
-    @staticmethod
-    def _merge_arrays(
-        subjects: np.ndarray,
-        values: np.ndarray,
-        peer_subjects: np.ndarray,
-        peer_values: np.ndarray,
-        alpha: float,
-        one_minus_alpha: float,
-        a: int,
-        b: int,
-    ) -> tuple:
-        """One side of the gossip merge, as fresh arrays.
-
-        Returns ``(new_subjects, new_values, merged_count)``.  Pure with
-        respect to its inputs — both sides of an exchange are computed
-        from the pre-exchange arrays before either book is written,
-        which is the snapshot discipline that keeps gossip symmetric.
-        The EWMA ``(1 - alpha) * heard + alpha * mine`` is kept verbatim
-        per element, and a subject unknown to the receiver adopts the
-        heard score outright — exactly
-        :meth:`ReputationBook.merge_opinion`, minus the per-subject
-        call.  Opinions about the interlocutors ``a``/``b`` are dropped
-        before merging (the self-praise guard).
-        """
-        keep = (peer_subjects != a) & (peer_subjects != b)
-        if not keep.all():
-            peer_subjects = peer_subjects[keep]
-            peer_values = peer_values[keep]
-        merged_count = int(peer_subjects.size)
-        if merged_count == 0:
-            return subjects, values, 0
-        if subjects.size == 0:
-            return peer_subjects.copy(), peer_values.copy(), merged_count
-        pos = np.searchsorted(subjects, peer_subjects)
-        clipped = np.minimum(pos, subjects.size - 1)
-        found = subjects[clipped] == peer_subjects
-        if found.any():
-            where = clipped[found]
-            merged = (
-                one_minus_alpha * peer_values[found]
-                + alpha * values[where]
-            )
-            new_values = values.copy()
-            new_values[where] = merged
-        else:
-            new_values = values
-        adopt = ~found
-        if adopt.any():
-            # Hand-rolled multi-insert (np.insert is generic and slow
-            # on this path): ``pos`` is nondecreasing because
-            # ``peer_subjects`` is sorted, so the k-th adopted subject
-            # lands at output index ``positions[k] + k`` and the old
-            # elements fill the remaining slots in order — the exact
-            # layout ``np.insert(subjects, positions, ...)`` produces.
-            positions = pos[adopt]
-            n_add = positions.size
-            total = subjects.size + n_add
-            ins = positions + np.arange(n_add)
-            old = np.ones(total, dtype=bool)
-            old[ins] = False
-            new_subjects = np.empty(total, dtype=subjects.dtype)
-            new_subjects[ins] = peer_subjects[adopt]
-            new_subjects[old] = subjects
-            out_values = np.empty(total, dtype=new_values.dtype)
-            out_values[ins] = peer_values[adopt]
-            out_values[old] = new_values
-            new_values = out_values
-        else:
-            new_subjects = subjects
-        return new_subjects, new_values, merged_count
-
     def exchange(self, a: int, b: int) -> None:
         """Contact-time gossip: each side merges the other's opinions.
 
@@ -380,33 +301,23 @@ class ReputationSystem:
         neither rates itself nor lets the peer vouch for itself
         (self-praise would be the obvious whitewashing channel).
 
-        This is the hot path at scale: books grow with the population,
-        so the merge runs as array ops over the sorted books (one
-        ``searchsorted`` plus a handful of ufuncs per side) rather than
-        a dict pass per subject.  Scores are floats under the identical
-        EWMA expression, so results are bit-identical to the historical
-        per-subject loop; only membership *order* differs (sorted
-        instead of insertion order), which nothing consumes.
+        A pair :meth:`exchange_batch_rounds` planned installs its
+        planned arrays here, at its exchange point; an unplanned pair
+        is merged now as a one-pair round zero.  Scores are floats under
+        the EWMA of :meth:`ReputationBook.merge_opinion`, so results are
+        bit-identical to a per-subject loop; only membership *order*
+        differs (sorted instead of insertion order), which nothing
+        consumes.
         """
-        book_a = self.book(a)
-        book_b = self.book(b)
-        alpha = self._params.alpha
-        one_minus_alpha = 1.0 - alpha
-        merge = self._merge_arrays
-        new_subjects_a, new_values_a, merged_a = merge(
-            book_a._subjects, book_a._values,
-            book_b._subjects, book_b._values,
-            alpha, one_minus_alpha, a, b,
-        )
-        new_subjects_b, new_values_b, merged_b = merge(
-            book_b._subjects, book_b._values,
-            book_a._subjects, book_a._values,
-            alpha, one_minus_alpha, a, b,
-        )
-        book_a._subjects = new_subjects_a
-        book_a._values = new_values_a
-        book_b._subjects = new_subjects_b
-        book_b._values = new_values_b
+        planned = self._planned.pop((a, b), None)
+        if planned is None:
+            planned = self._plan([[(a, b)]])[(a, b)]
+        merged_a, merged_b, arrays = planned
+        if arrays is not None:
+            book_a = self.book(a)
+            book_b = self.book(b)
+            book_a._subjects, book_a._values = arrays[0], arrays[1]
+            book_b._subjects, book_b._values = arrays[2], arrays[3]
         self.record_gossip(a, b, merged_a, merged_b)
 
     def record_gossip(
@@ -415,11 +326,10 @@ class ReputationSystem:
         """Emit the per-exchange gossip trace record.
 
         One record per exchange (not per subject) keeps gossip from
-        dominating the trace volume at paper scale.  Split out of
-        :meth:`exchange` so a merge performed early by
-        :meth:`exchange_batch` can still surface its record at the
-        moment the sequential schedule would have run the exchange,
-        keeping traced batched runs record-for-record identical.
+        dominating the trace volume at paper scale.  :meth:`exchange`
+        emits it at the pair's exchange point even when the merge was
+        planned earlier in the tick, keeping the event trace in
+        admission order.
         """
         if self.trace.enabled:
             self.trace.emit({
@@ -427,87 +337,28 @@ class ReputationSystem:
                 "merged_a": merged_a, "merged_b": merged_b,
             })
 
-    def exchange_batch(
-        self, pairs: Sequence[Tuple[int, int]]
-    ) -> List[Tuple[int, int, int, int]]:
-        """Gossip for many *disjoint* contact pairs in one grouped pass.
+    def exchange_batch_rounds(self, pairs: Sequence[Tuple[int, int]]) -> None:
+        """Plan the gossip of every pair of one contact-up tick.
 
-        The caller must guarantee no node id appears in more than one
-        pair (the tick batcher only submits first-occurrence pairs), so
-        every book is read and written by exactly one side-pair and the
-        pre-exchange snapshot discipline of :meth:`exchange` holds
-        trivially: all giver arrays are captured before any book is
-        written.
+        A pair's round is one past the latest round either endpoint
+        already sits in (the growth batch's decomposition), so within a
+        round every node appears at most once and each node's merges
+        keep their per-pair order.  :meth:`_merge` runs once per round,
+        each round reading the arrays the previous rounds produced;
+        every pair then waits in ``_planned`` for :meth:`exchange`.
 
-        Instead of two :meth:`_merge_arrays` calls per pair (each with
-        its own ``searchsorted`` + ufunc set-up), the 2·N receiver
-        books are concatenated into one pair of arrays with each block
-        offset by ``block_id * BASE`` — subject ids are nonnegative and
-        bounded, so the encoded array is globally strictly increasing
-        and a *single* ``searchsorted`` locates every heard opinion in
-        every book at once.  Per-element clipping to the owning block's
-        end keeps lookups in-block, the EWMA runs verbatim as one ufunc
-        over all found positions, and the adopted subjects multi-insert
-        with the same ``positions + rank`` layout ``_merge_arrays``
-        uses, generalised across blocks with a ``bincount``/``cumsum``
-        rank.  Every written book gets freshly copied arrays, so no two
-        books ever alias storage (``forget`` on one cannot disturb
-        another).
-
-        No trace records are emitted here — the returned
-        ``(a, b, merged_a, merged_b)`` tuples are replayed through
-        :meth:`record_gossip` by the caller at each pair's sequential
-        exchange point.
-
-        Falls back to the per-side scalar merge if any subject id is
-        negative (the offset encoding requires nonnegative ids); the
-        results are identical either way.
-        """
-        # Capture every side up front: (receiver book, receiver
-        # subjects/values, giver subjects/values, a, b).
-        sides: list = []
-        for a, b in pairs:
-            book_a = self.book(a)
-            book_b = self.book(b)
-            sides.append((
-                book_a, book_a._subjects, book_a._values,
-                book_b._subjects, book_b._values, a, b,
-            ))
-            sides.append((
-                book_b, book_b._subjects, book_b._values,
-                book_a._subjects, book_a._values, a, b,
-            ))
-        return self._exchange_sides(sides, pairs)
-
-    def exchange_batch_rounds(
-        self, pairs: Sequence[Tuple[int, int]]
-    ) -> List[Tuple[int, int, int, int, Optional[tuple]]]:
-        """Gossip for *all* same-tick pairs, decomposed into rounds.
-
-        :meth:`exchange_batch` requires disjoint pairs; this driver
-        lifts that restriction with the same round decomposition the
-        growth batch uses: a pair's round is one past the latest round
-        either endpoint already sits in, so within a round every node
-        appears at most once and each node's merges replay in per-pair
-        order.  Round zero (both endpoints' first appearance of the
-        tick) is applied to the books immediately — no earlier pair of
-        the tick reads or writes those books, so the merge commutes to
-        the head of the tick.  Later rounds CANNOT be applied early:
-        award computations of earlier pairs read member books between
-        exchanges.  Their merges are therefore *planned* here on
-        scratch holders (each round's inputs are the previous round's
-        outputs) and returned as deferred array assignments the caller
-        applies at each pair's sequential exchange point — the book
-        then steps through exactly the states the per-pair path would
-        produce, visible to every interleaved read at the right time.
-
-        Returns ``(a, b, merged_a, merged_b, deferred)`` per pair,
-        where ``deferred`` is ``None`` for round-zero pairs (already
-        applied) or ``(book_a, subjects_a, values_a, book_b,
-        subjects_b, values_b)`` to assign at the exchange point.  The
-        deferred arrays are either the book's own current arrays (a
-        side that heard nothing) or fresh merge outputs, so the
-        no-aliasing discipline of :meth:`exchange_batch` carries over.
+        Round zero (both endpoints' first pair of the tick) is written
+        to the books now.  Within a contact-up event only gossip writes
+        books (ratings settle with transfers at strictly later events),
+        and the only book read between two exchanges is
+        ``compute_award``'s read of the offer receiver's book, a member
+        of the earlier pair.  No earlier pair of the tick holds a
+        round-zero endpoint, so nothing before the pair's exchange
+        point reads or writes its books.  A later round cannot be
+        written early, because an earlier pair's award may read its
+        members' books in between; :meth:`exchange` installs its arrays
+        at the pair's exchange point, so every read sees the per-pair
+        states.
         """
         last_round: Dict[int, int] = {}
         rounds: List[list] = []
@@ -523,191 +374,133 @@ class ReputationSystem:
             rounds[r].append(pair)
             last_round[a] = r
             last_round[b] = r
-        out: List[Tuple[int, int, int, int, Optional[tuple]]] = []
-        if not rounds:
-            return out
-        for a, b, merged_a, merged_b in self.exchange_batch(rounds[0]):
-            out.append((a, b, merged_a, merged_b, None))
-        if len(rounds) == 1:
-            return out
-        planned: Dict[int, _PlannedBook] = {}
-        planned_get = planned.get
-        for round_pairs in rounds[1:]:
-            sides: list = []
-            for a, b in round_pairs:
-                state_a = planned_get(a)
-                if state_a is None:
-                    book = self.book(a)
-                    planned[a] = state_a = _PlannedBook(
-                        book._subjects, book._values
-                    )
-                state_b = planned_get(b)
-                if state_b is None:
-                    book = self.book(b)
-                    planned[b] = state_b = _PlannedBook(
-                        book._subjects, book._values
-                    )
-                sides.append((
-                    state_a, state_a._subjects, state_a._values,
-                    state_b._subjects, state_b._values, a, b,
-                ))
-                sides.append((
-                    state_b, state_b._subjects, state_b._values,
-                    state_a._subjects, state_a._values, a, b,
-                ))
-            for a, b, merged_a, merged_b in self._exchange_sides(
-                sides, round_pairs
-            ):
-                state_a = planned[a]
-                state_b = planned[b]
-                out.append((a, b, merged_a, merged_b, (
-                    self.book(a), state_a._subjects, state_a._values,
-                    self.book(b), state_b._subjects, state_b._values,
-                )))
-        return out
+        self._planned = self._plan(rounds)
 
-    def _exchange_sides(
-        self, sides: list, pairs: Sequence[Tuple[int, int]]
-    ) -> List[Tuple[int, int, int, int]]:
-        """Grouped-merge core shared by :meth:`exchange_batch` (writing
-        real books) and :meth:`exchange_batch_rounds` (writing scratch
-        holders): ``sides[0]`` only needs ``_subjects``/``_values``
-        attributes."""
-        alpha = self._params.alpha
-        one_minus_alpha = 1.0 - alpha
-        n_sides = len(sides)
-        giver_sizes = np.fromiter(
-            (side[3].size for side in sides), dtype=np.int64, count=n_sides,
-        )
-        total_giver = int(giver_sizes.sum())
-        if total_giver == 0:
-            return [(a, b, 0, 0) for a, b in pairs]
-        G = np.concatenate([side[3] for side in sides])
-        GV = np.concatenate([side[4] for side in sides])
-        seg_ids = np.repeat(np.arange(n_sides), giver_sizes)
-        negative = bool((G < 0).any()) or any(
-            side[1].size and side[1][0] < 0 for side in sides
-        )
-        if negative:
-            counts: list = []
-            for book, subjects, values, g_subj, g_val, a, b in sides:
-                new_s, new_v, count = self._merge_arrays(
-                    subjects, values, g_subj, g_val,
-                    alpha, one_minus_alpha, a, b,
-                )
-                book._subjects = new_s
-                book._values = new_v
-                counts.append(count)
-            return [
-                (pairs[i][0], pairs[i][1], counts[2 * i], counts[2 * i + 1])
-                for i in range(len(pairs))
-            ]
-        # Self-praise guard for every side in one vector op.
-        A_rep = np.repeat(
-            np.fromiter((s[5] for s in sides), dtype=np.int64, count=n_sides),
-            giver_sizes,
-        )
-        B_rep = np.repeat(
-            np.fromiter((s[6] for s in sides), dtype=np.int64, count=n_sides),
-            giver_sizes,
-        )
-        keep = (G != A_rep) & (G != B_rep)
-        kept_counts = np.bincount(seg_ids[keep], minlength=n_sides)
-        # Partition sides: untouched (nothing heard), whole-adopt
-        # (empty receiver), and grouped-merge (the common case).
-        grouped_idx: list = []
-        for i, side in enumerate(sides):
-            kept = int(kept_counts[i])
-            if kept == 0:
-                continue
-            if side[1].size == 0:
-                sel = keep & (seg_ids == i)
-                side[0]._subjects = G[sel].copy()
-                side[0]._values = GV[sel].copy()
-            else:
-                grouped_idx.append(i)
-        if grouped_idx:
-            self._merge_blocks(
-                sides, grouped_idx, G, GV, seg_ids, keep,
-                kept_counts, alpha, one_minus_alpha,
-            )
-        return [
-            (pairs[i][0], pairs[i][1],
-             int(kept_counts[2 * i]), int(kept_counts[2 * i + 1]))
-            for i in range(len(pairs))
-        ]
+    def _plan(self, rounds: List[list]) -> Dict[Tuple[int, int], tuple]:
+        """Merge each round of node-disjoint pairs; an entry per pair.
 
-    @staticmethod
-    def _merge_blocks(
-        sides: list,
-        grouped_idx: list,
-        G: np.ndarray,
-        GV: np.ndarray,
-        seg_ids: np.ndarray,
-        keep: np.ndarray,
-        kept_counts: np.ndarray,
-        alpha: float,
-        one_minus_alpha: float,
-    ) -> None:
-        """The grouped searchsorted/EWMA/multi-insert over all blocks.
-
-        Each block is one (receiver book, kept giver opinions) side with
-        a nonempty receiver.  Mirrors :meth:`_merge_arrays` branch for
-        branch; see :meth:`exchange_batch` for the encoding argument.
+        Round zero reads and writes the books.  A later round reads each
+        node's arrays from the rounds before it (its book, for a node
+        not yet in a later round) and leaves the books alone; its
+        entries carry the new arrays.
         """
-        m = len(grouped_idx)
-        block_of_seg = np.full(len(sides), -1, dtype=np.int64)
-        block_of_seg[grouped_idx] = np.arange(m)
-        g_sel = keep & (block_of_seg[seg_ids] >= 0)
-        P = G[g_sel]
-        PV = GV[g_sel]
-        pblock = block_of_seg[seg_ids[g_sel]]
-        r_sizes = np.fromiter(
-            (sides[i][1].size for i in grouped_idx),
-            dtype=np.int64, count=m,
-        )
-        R = np.concatenate([sides[i][1] for i in grouped_idx])
-        RV = np.concatenate([sides[i][2] for i in grouped_idx])
-        r_starts = np.concatenate(([0], np.cumsum(r_sizes)[:-1]))
-        r_ends = r_starts + r_sizes
-        base = int(max(R.max(), P.max())) + 1
-        r_off = np.repeat(np.arange(m) * base, r_sizes)
-        pos = np.searchsorted(R + r_off, P + pblock * base)
-        # searchsorted can land one past the block (subject greater
-        # than everything the receiver knows); clip into the block so
-        # the found-comparison below reads the right book.
-        clipped = np.minimum(pos, r_ends[pblock] - 1)
-        found = R[clipped] == P
-        RV_new = RV
-        if found.any():
-            where = clipped[found]
-            RV_new = RV.copy()
-            RV_new[where] = (
-                one_minus_alpha * PV[found] + alpha * RV[where]
-            )
+        planned: Dict[Tuple[int, int], tuple] = {}
+        arrays: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        book = self.book
+        for r, round_pairs in enumerate(rounds):
+            books = []
+            sides = []
+            for a, b in round_pairs:
+                book_a = book(a)
+                book_b = book(b)
+                books.append((book_a, book_b))
+                s_a, v_a = arrays.get(a) or (book_a._subjects, book_a._values)
+                s_b, v_b = arrays.get(b) or (book_b._subjects, book_b._values)
+                sides.append((s_a, v_a, s_b, v_b, a, b))
+                sides.append((s_b, v_b, s_a, v_a, a, b))
+            merged = self._merge(sides)
+            for k, pair in enumerate(round_pairs):
+                s_a, v_a, kept_a = merged[2 * k]
+                s_b, v_b, kept_b = merged[2 * k + 1]
+                if r:
+                    arrays[pair[0]] = s_a, v_a
+                    arrays[pair[1]] = s_b, v_b
+                    planned[pair] = (kept_a, kept_b, (s_a, v_a, s_b, v_b))
+                else:
+                    book_a, book_b = books[k]
+                    book_a._subjects, book_a._values = s_a, v_a
+                    book_b._subjects, book_b._values = s_b, v_b
+                    planned[pair] = (kept_a, kept_b, None)
+        return planned
+
+    def _merge(self, sides: Sequence[tuple]) -> List[tuple]:
+        """The gossip merge of many sides in one grouped pass; pure.
+
+        Each side is ``(subjects, values, heard_subjects, heard_values,
+        a, b)``: a receiver's sorted arrays, its giver's arrays and the
+        pair.  Returns ``(subjects, values, kept)`` per side, computed
+        from the inputs alone, so all sides are read before any book is
+        written.  Opinions about ``a`` and ``b`` are dropped from what
+        a side hears (the self-praise guard).  A kept subject the
+        receiver knows takes ``(1 - alpha) * heard + alpha * mine`` and
+        an unknown one is adopted at its sorted position — exactly
+        :meth:`ReputationBook.merge_opinion` per subject.  A side that
+        kept nothing returns its own arrays; every other side gets
+        fresh arrays of its own, so no two books share storage and no
+        book keeps the round's whole output buffer alive.
+
+        Every receiver is concatenated into one increasing array by
+        encoding an id as ``(id - lo) + side * span``, where ``lo`` is
+        the smallest id of the pass and ``span`` is one past the id
+        range (ids are node ids, so the codes stay far inside int64).
+        One ``searchsorted`` then finds each heard subject in
+        its own receiver, whatever the ids' sign and however many
+        receivers are empty.  Adopted subjects multi-insert into the
+        concatenation at ``position + rank`` (the layout ``np.insert``
+        gives), which keeps each receiver's block contiguous.
+        """
+        alpha = self._params.alpha
+        n = len(sides)
+        heard = [side[2] for side in sides]
+        side_ids = np.arange(n)
+        seg = np.repeat(side_ids, np.fromiter(map(len, heard), np.int64, n))
+        G = np.concatenate(heard)
+        pair_a = np.fromiter((side[4] for side in sides), np.int64, n)
+        pair_b = np.fromiter((side[5] for side in sides), np.int64, n)
+        keep = (G != pair_a[seg]) & (G != pair_b[seg])
+        p_side = seg[keep]
+        kept = np.bincount(p_side, minlength=n).tolist()
+        if not any(kept):
+            return [(side[0], side[1], 0) for side in sides]
+        P = G[keep]
+        PV = np.concatenate([side[3] for side in sides])[keep]
+        receivers = [side[0] for side in sides]
+        r_sizes = np.fromiter(map(len, receivers), np.int64, n)
+        R = np.concatenate(receivers)
+        RV = np.concatenate([side[1] for side in sides])
+        lo = int(P.min())
+        hi = int(P.max())
+        if R.size:
+            lo = min(lo, int(R.min()))
+            hi = max(hi, int(R.max()))
+        span = hi - lo + 1
+        encoded = (R - lo) + np.repeat(side_ids * span, r_sizes)
+        target = (P - lo) + p_side * span
+        pos = np.searchsorted(encoded, target)
+        # One slot past the end: a subject beyond its receiver's last id
+        # lands there or on the next receiver's first id, never equal.
+        found = np.append(encoded, -1)[pos] == target
+        where = pos[found]
+        # RV is a fresh concatenation, so the EWMA writes it in place.
+        RV[where] = (1 - alpha) * PV[found] + alpha * RV[where]
         adopt = ~found
-        positions = (pos - r_starts[pblock])[adopt]
-        ablock = pblock[adopt]
-        add_counts = np.bincount(ablock, minlength=m)
-        add_starts = np.concatenate(([0], np.cumsum(add_counts)[:-1]))
-        rank = np.arange(positions.size) - add_starts[ablock]
-        out_sizes = r_sizes + add_counts
-        out_starts = np.concatenate(([0], np.cumsum(out_sizes)[:-1]))
-        total_out = int(out_sizes.sum())
-        out_subjects = np.empty(total_out, dtype=np.int64)
-        out_values = np.empty(total_out, dtype=np.float64)
-        ins = out_starts[ablock] + positions + rank
-        old = np.ones(total_out, dtype=bool)
+        ins = pos[adopt]
+        ins += np.arange(ins.size)
+        total = R.size + ins.size
+        old = np.ones(total, dtype=bool)
         old[ins] = False
+        out_subjects = np.empty(total, dtype=np.int64)
         out_subjects[ins] = P[adopt]
         out_subjects[old] = R
+        out_values = np.empty(total, dtype=np.float64)
         out_values[ins] = PV[adopt]
-        out_values[old] = RV_new
-        for j, i in enumerate(grouped_idx):
-            start = int(out_starts[j])
-            end = start + int(out_sizes[j])
-            sides[i][0]._subjects = out_subjects[start:end].copy()
-            sides[i][0]._values = out_values[start:end].copy()
+        out_values[old] = RV
+        ends = np.cumsum(
+            r_sizes + np.bincount(p_side[adopt], minlength=n)
+        ).tolist()
+        out = []
+        start = 0
+        for side, count, end in zip(sides, kept, ends):
+            if count:
+                out.append((
+                    out_subjects[start:end].copy(),
+                    out_values[start:end].copy(),
+                    count,
+                ))
+            else:
+                out.append((side[0], side[1], 0))
+            start = end
+        return out
 
     def forget_subject(self, subject: int) -> int:
         """Erase every node's opinion about ``subject``.

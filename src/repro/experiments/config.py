@@ -237,6 +237,14 @@ class ScenarioConfig:
                     f"keyword_pool={self.keyword_pool}, got "
                     f"{cls.interests_per_node!r}"
                 )
+            # The behaviour assigner's rule, with its tolerance.
+            if cls.selfish_fraction + cls.malicious_fraction > 1.0 + 1e-9:
+                raise ConfigurationError(
+                    f"{_named(spec, 'selfish_fraction')} + "
+                    f"{_named(spec, 'malicious_fraction')} must be <= 1, "
+                    f"got {cls.selfish_fraction!r} + "
+                    f"{cls.malicious_fraction!r}"
+                )
         if self.scheme is not None:
             # Imported lazily: repro.schemes pulls in the router catalog,
             # which this config module must not depend on at import time.

@@ -137,15 +137,6 @@ _MEMO_KEY = attrgetter("_memo_key")
 _UUID = attrgetter("uuid")
 _SIZE = attrgetter("size")
 
-# Row-count ceiling below which growth takes a pure-Python scalar
-# path: at a few dozen rows, per-ufunc dispatch (~1µs each, and the
-# compact path needs a dozen ufuncs) costs more than an interpreted
-# loop over Python floats.  Both paths evaluate the identical IEEE
-# expression per row, so the crossover is a pure speed knob — results
-# are bit-identical on either side of it (tests/test_chitchat.py pins
-# this by running the same history through both).
-_SCALAR_ROWS_MAX = 48
-
 
 class InterestTable:
     """A node's keyword-weight table (direct + transient interests).
@@ -535,51 +526,6 @@ class InterestTable:
         effective = min(elapsed, elapsed_cap)
         if effective <= 0.0:
             return  # every delta is exactly 0.0: nothing to write
-        if peer_ids.size <= _SCALAR_ROWS_MAX:
-            # Scalar path: identical per-element expression and psi
-            # selection, without the ~10 ufunc dispatches the batched
-            # form costs on a few dozen rows.
-            ids_l = peer_ids.tolist()
-            self._ensure(max(ids_l))
-            weight = self._weight
-            peer_w_l = peer_weights.tolist()
-            peer_d_l = peer_direct.tolist()
-            mine_p_l = self._present[ids_l].tolist()
-            mine_d_l = self._direct[ids_l].tolist()
-            mine_w_l = weight[ids_l].tolist()
-            fresh_ids: List[int] = []
-            fresh_w: List[float] = []
-            grown_ids: List[int] = []
-            grown_w: List[float] = []
-            for k in range(len(ids_l)):
-                if mine_p_l[k]:
-                    psi = 2 if mine_d_l[k] else 4
-                else:
-                    psi = 6
-                if peer_d_l[k]:
-                    psi -= 1
-                delta = growth_scale * peer_w_l[k] * effective / psi
-                if delta <= 0.0:
-                    continue
-                if mine_p_l[k]:
-                    w = mine_w_l[k] + delta
-                    grown_ids.append(ids_l[k])
-                    grown_w.append(w if w < 1.0 else 1.0)
-                else:
-                    fresh_ids.append(ids_l[k])
-                    fresh_w.append(delta if delta < 1.0 else 1.0)
-            if fresh_ids:
-                weight[fresh_ids] = fresh_w
-                self._direct[fresh_ids] = False
-                self._last[fresh_ids] = now
-                self._present[fresh_ids] = True
-                self._members_version += 1
-            if grown_ids:
-                weight[grown_ids] = grown_w
-                self._last[grown_ids] = now
-            if fresh_ids or grown_ids:
-                self.version += 1
-            return
         self._ensure(int(peer_ids.max()))
         mine_present = self._present[peer_ids]
         mine_direct = self._direct[peer_ids]

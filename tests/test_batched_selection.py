@@ -15,11 +15,13 @@ references:
   tick or on one side, must offer what the per-message loop it
   replaced offers and leave the same memo entries, and a tick's stored
   result must not outlive the tick (DESIGN.md §10).
-* ``ReputationSystem.exchange_batch`` — the grouped searchsorted merge
-  over all safe pairs of a tick — must leave every book bit-identical
-  to pairwise ``exchange`` calls, never share storage between books
-  (copy-on-write survives ``forget()``), and fall back correctly for
-  negative subject ids.
+* The gossip merge kernel behind ``ReputationSystem.exchange``, planned
+  for a whole tick by ``exchange_batch_rounds`` or run one pair at a
+  time, must step every book through the states of a per-subject dict
+  reference, for ids of either sign and empty books, never share
+  storage between books, and leave no plan behind its tick; a tick of
+  node-disjoint pairs is written whole when it is planned, and a
+  ``forget`` on one book after a planned tick edits that book only.
 
 Plus the regression tests for the three router-state lifecycle
 bugfixes that ride along (retry-book pruning, churn-wipe memo
@@ -53,6 +55,7 @@ from repro.sim.rng import RandomStreams
 from repro.trace.recorder import TraceRecorder
 
 from tests.helpers import make_message, make_world
+from tests.test_fused_store_properties import _ReferenceBooks
 from tests.test_world_soa_differential import normalise
 
 
@@ -263,8 +266,8 @@ def _trace_lines(path):
 @pytest.mark.parametrize("case", ("hetero", "churn-wipe", "city-start"))
 def test_batched_tick_matches_per_pair_tick(case, tmp_path, monkeypatch):
     """Whole runs: the batched tick and the per-pair tick trace alike,
-    and the batched tick never runs a per-pair decay or a one-side
-    selection."""
+    the batched tick never runs a per-pair decay or a one-side
+    selection, and no planned gossip outlives its up tick."""
     if case == "hetero":
         config = ScenarioConfig.hetero(n_nodes=60, duration=900.0)
         scheme = "incentive-chitchat-hetero"
@@ -297,11 +300,21 @@ def test_batched_tick_matches_per_pair_tick(case, tmp_path, monkeypatch):
         return kernel(router, sides, weights, *rows)
 
     monkeypatch.setattr(ChitChatRouter, "_select_sides", counting_select)
+    planned_left = []
+    run_up = World._run_up_batch
+
+    def checked_up(world, batch):
+        run_up(world, batch)
+        planned_left.append(len(world.router.reputation._planned))
+
+    monkeypatch.setattr(World, "_run_up_batch", checked_up)
     batched = tmp_path / "batched.jsonl"
     run_scenario(config, scheme, seed=1, trace_path=str(batched))
     assert decays == []
     # Every side with a non-empty sender buffer took its batched result.
     assert one_side == []
+    # Every planned gossip ran at its pair's exchange within the tick.
+    assert planned_left and not any(planned_left)
     # Both schemes build their substrate through this module name.
     monkeypatch.setattr(protocol, "ChitChatRouter", _PerPairChitChat)
     per_pair = tmp_path / "per-pair.jsonl"
@@ -546,168 +559,152 @@ def test_stored_selection_expires_with_its_tick(change):
 
 
 # ----------------------------------------------------------------------
-# Grouped gossip merge vs pairwise exchange
+# Gossip merge kernel vs the dict reference
 # ----------------------------------------------------------------------
 @st.composite
-def gossip_scenarios(draw):
-    n_nodes = draw(st.integers(min_value=2, max_value=12))
-    books = []
-    for _ in range(n_nodes):
+def gossip_ticks(draw):
+    """Books and one tick's pairs; nodes repeat across pairs, ids of
+    either sign, empty books and opinions about the pair's own members
+    are ordinary draws."""
+    nodes = draw(st.lists(
+        st.integers(min_value=-6, max_value=12),
+        min_size=2, max_size=8, unique=True,
+    ))
+    books = {}
+    for node in nodes:
         subjects = draw(st.lists(
-            st.integers(min_value=0, max_value=60), max_size=8, unique=True,
+            st.integers(min_value=-10, max_value=40), max_size=8, unique=True,
         ))
-        subjects.sort()
-        values = [
-            draw(st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
-            for _ in subjects
-        ]
-        books.append((subjects, values))
-    order = draw(st.permutations(range(n_nodes)))
-    n_pairs = draw(st.integers(min_value=0, max_value=n_nodes // 2))
-    pairs = [
-        (order[2 * k], order[2 * k + 1]) for k in range(n_pairs)
-    ]
-    negative = draw(st.booleans())
-    return books, pairs, negative
+        books[node] = {
+            subject: draw(st.floats(min_value=0.0, max_value=5.0))
+            for subject in sorted(subjects)
+        }
+    pairs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        a = draw(st.sampled_from(nodes))
+        b = draw(st.sampled_from(nodes))
+        if a != b and (a, b) not in pairs and (b, a) not in pairs:
+            pairs.append((a, b))
+    return books, pairs
 
 
-def _seed_books(system, books, negative):
-    for node_id, (subjects, values) in enumerate(books):
-        book = system.book(node_id)
-        subs = list(subjects)
-        vals = list(values)
-        if negative and node_id == 0 and subs:
-            subs[0] = -1  # sentinel id: forces the scalar fallback
-        book._subjects = np.asarray(subs, dtype=np.int64)
-        book._values = np.asarray(vals, dtype=np.float64)
+def _assert_book(system, reference, node):
+    book = system.book(node)
+    subjects = sorted(reference.scores[node])
+    assert list(book.known_subjects()) == subjects, node
+    assert book._values.tolist() == [
+        reference.scores[node][subject] for subject in subjects
+    ], node
 
 
-@given(gossip_scenarios())
-@settings(max_examples=150, deadline=None)
-def test_exchange_batch_matches_pairwise(scenario):
-    books, pairs, negative = scenario
+def _seeded(books):
+    """A reputation system and a dict reference holding ``books``."""
     params = IncentiveParams()
-    sequential = ReputationSystem(params)
-    batched = ReputationSystem(params)
-    _seed_books(sequential, books, negative)
-    _seed_books(batched, books, negative)
+    system = ReputationSystem(params)
+    reference = _ReferenceBooks(
+        list(books), params.alpha, params.default_rating,
+    )
+    for node, scores in books.items():
+        book = system.book(node)
+        book._subjects = np.array(list(scores), dtype=np.int64)
+        book._values = np.array(list(scores.values()), dtype=np.float64)
+        reference.scores[node] = dict(scores)
+    return system, reference
 
+
+@given(gossip_ticks())
+@settings(max_examples=150, deadline=None)
+def test_exchange_batch_matches_pairwise(tick):
+    """A tick of node-disjoint pairs is all round zero: planning it
+    writes every book to where pairwise exchanges leave it, and the
+    exchanges that follow only drain the plan."""
+    books, drawn = tick
+    pairs, busy = [], set()
+    for a, b in drawn:
+        if a not in busy and b not in busy:
+            pairs.append((a, b))
+            busy.update((a, b))
+    system, reference = _seeded(books)
+    system.exchange_batch_rounds(pairs)
     for a, b in pairs:
-        sequential.exchange(a, b)
-    results = batched.exchange_batch(pairs)
-
-    assert [(a, b) for a, b, _, _ in results] == pairs
-    for node_id in range(len(books)):
-        expected = sequential.book(node_id)
-        actual = batched.book(node_id)
-        assert np.array_equal(expected._subjects, actual._subjects)
-        assert np.array_equal(expected._values, actual._values)
-
-    # Copy-on-write: no two books may share storage after the grouped
-    # merge (a forget() on one must never edit another).
-    ids = list(range(len(books)))
-    for i in ids:
-        for j in ids[i + 1:]:
-            left, right = batched.book(i), batched.book(j)
-            if left._subjects.size and right._subjects.size:
-                assert not np.shares_memory(left._subjects, right._subjects)
-                assert not np.shares_memory(left._values, right._values)
+        reference.exchange(a, b)
+    assert set(system._planned) == set(pairs)
+    for node in books:
+        _assert_book(system, reference, node)
+    for a, b in pairs:
+        system.exchange(a, b)
+    assert system._planned == {}
+    for node in books:
+        _assert_book(system, reference, node)
 
 
 def test_forget_after_batch_is_isolated():
-    params = IncentiveParams()
-    system = ReputationSystem(params)
-    _seed_books(
-        system,
-        [([1, 2, 3], [1.0, 2.0, 3.0]), ([2, 4], [4.0, 1.5]),
-         ([1, 5], [2.5, 0.5]), ([3, 4], [1.0, 1.0])],
-        negative=False,
-    )
-    system.exchange_batch([(0, 1), (2, 3)])
-    snapshot = {
-        i: (system.book(i)._subjects.copy(), system.book(i)._values.copy())
-        for i in range(4)
-    }
-    system.book(0).forget(2)
-    for i in (1, 2, 3):
-        assert np.array_equal(system.book(i)._subjects, snapshot[i][0])
-        assert np.array_equal(system.book(i)._values, snapshot[i][1])
-
-
-@st.composite
-def overlapping_gossip_scenarios(draw):
-    """Like :func:`gossip_scenarios` but with node reuse across pairs,
-    so the rounds driver must actually decompose and defer."""
-    n_nodes = draw(st.integers(min_value=2, max_value=8))
-    books = []
-    for _ in range(n_nodes):
-        subjects = draw(st.lists(
-            st.integers(min_value=0, max_value=60), max_size=8, unique=True,
-        ))
-        subjects.sort()
-        values = [
-            draw(st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
-            for _ in subjects
-        ]
-        books.append((subjects, values))
-    n_pairs = draw(st.integers(min_value=0, max_value=10))
-    pairs = []
-    for _ in range(n_pairs):
-        a = draw(st.integers(min_value=0, max_value=n_nodes - 1))
-        b = draw(st.integers(min_value=0, max_value=n_nodes - 1))
-        if a == b or (a, b) in pairs or (b, a) in pairs:
-            continue
-        pairs.append((a, b))
-    negative = draw(st.booleans())
-    return books, pairs, negative
-
-
-@given(overlapping_gossip_scenarios())
-@settings(max_examples=150, deadline=None)
-def test_exchange_batch_rounds_matches_pairwise(scenario):
-    """The rounds driver + in-order deferred application must replay the
-    exact sequential book trajectory: after applying pair k's deferred
-    assignment, every book matches a sequential run of pairs 0..k."""
-    books, pairs, negative = scenario
-    params = IncentiveParams()
-    sequential = ReputationSystem(params)
-    batched = ReputationSystem(params)
-    _seed_books(sequential, books, negative)
-    _seed_books(batched, books, negative)
-
-    planned = batched.exchange_batch_rounds(pairs)
-    by_pair = {(entry[0], entry[1]): entry for entry in planned}
-    assert set(by_pair) == set(pairs)
-    assert len(planned) == len(pairs)
-
+    """A forget on one book after a planned tick, round-zero and
+    later-round books alike, edits that book only."""
+    system, _ = _seeded({
+        0: {1: 1.0, 2: 2.0, 3: 3.0}, 1: {2: 4.0, 4: 1.5},
+        2: {1: 2.5, 5: 0.5}, 3: {3: 1.0, 4: 1.0},
+    })
+    pairs = [(0, 1), (2, 3), (1, 2)]
+    system.exchange_batch_rounds(pairs)
     for a, b in pairs:
-        sequential.exchange(a, b)
-        merged_a, merged_b, deferred = (
-            by_pair[(a, b)][2], by_pair[(a, b)][3], by_pair[(a, b)][4],
-        )
-        if deferred is not None:
-            book_a, subj_a, val_a, book_b, subj_b, val_b = deferred
-            book_a._subjects = subj_a
-            book_a._values = val_a
-            book_b._subjects = subj_b
-            book_b._values = val_b
-        # Mid-tick reads between exchange points must see the
-        # sequential trajectory for the pair's own members.
-        for node_id in (a, b):
-            assert np.array_equal(
-                sequential.book(node_id)._subjects,
-                batched.book(node_id)._subjects,
-            )
-            assert np.array_equal(
-                sequential.book(node_id)._values,
-                batched.book(node_id)._values,
-            )
+        system.exchange(a, b)
+    for node, subject in ((0, 2), (1, 5)):
+        snapshot = {
+            i: (system.book(i)._subjects.copy(), system.book(i)._values.copy())
+            for i in range(4)
+        }
+        assert system.book(node).forget(subject)
+        for i in range(4):
+            if i != node:
+                assert np.array_equal(system.book(i)._subjects, snapshot[i][0])
+                assert np.array_equal(system.book(i)._values, snapshot[i][1])
 
-    for node_id in range(len(books)):
-        expected = sequential.book(node_id)
-        actual = batched.book(node_id)
-        assert np.array_equal(expected._subjects, actual._subjects)
-        assert np.array_equal(expected._values, actual._values)
+
+@given(gossip_ticks())
+@settings(max_examples=400, deadline=None)
+def test_exchange_batch_rounds_matches_pairwise(tick):
+    """Planned or not, every exchange leaves the pair's books where the
+    per-subject dict reference does, and the tick's end state matches
+    too.  Books never share storage and no plan outlives its pair."""
+    books, pairs = tick
+    for planned in (True, False):
+        system, reference = _seeded(books)
+        if planned:
+            system.exchange_batch_rounds(pairs)
+        for a, b in pairs:
+            system.exchange(a, b)
+            reference.exchange(a, b)
+            _assert_book(system, reference, a)
+            _assert_book(system, reference, b)
+        assert system._planned == {}
+        for node in books:
+            _assert_book(system, reference, node)
+
+        nodes = list(books)
+        for node in nodes:
+            # Own arrays, not views that would pin a round's buffer.
+            assert system.book(node)._subjects.base is None
+            assert system.book(node)._values.base is None
+        for i, left in enumerate(nodes):
+            for right in nodes[i + 1:]:
+                left_book, right_book = system.book(left), system.book(right)
+                assert not np.shares_memory(
+                    left_book._subjects, right_book._subjects
+                )
+                assert not np.shares_memory(
+                    left_book._values, right_book._values
+                )
+        # Edits to one book, deleting and in place, leave the rest alone.
+        first = system.book(nodes[0])
+        known = first.known_subjects()
+        if known:
+            first.merge_opinion(known[-1], 5.0)
+            first.forget(known[0])
+            reference.merge(nodes[0], known[-1], 5.0)
+            reference.scores[nodes[0]].pop(known[0])
+        for node in nodes:
+            _assert_book(system, reference, node)
 
 
 # ----------------------------------------------------------------------

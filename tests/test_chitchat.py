@@ -416,63 +416,6 @@ class TestFullyStampedSkip:
         assert table._row in decayed
 
 
-class TestScalarVectorParity:
-    """Growth's small-table scalar fast path must match the ufunc path.
-
-    ``_SCALAR_ROWS_MAX`` is a pure speed knob: every row sees the
-    identical IEEE expression on either side of it, so running the same
-    decay and growth history entirely through the scalar path and
-    entirely through the vector path must land on bit-identical table
-    state.
-    """
-
-    def _seasoned(self):
-        store = InterestStore(KeywordIndex())
-        table = store.create_table(["flood", "fire", "medical"], 0.0)
-        snapshots = [
-            [("water", 0.7, True), ("food", 0.31, False),
-             ("flood", 0.9, True)],
-            [("shelter", 0.001, False), ("fire", 0.44, False),
-             ("rescue", 0.62, True)],
-            [("water", 0.2, False), ("power", 0.015, False)],
-        ]
-        now = 0.0
-        for i, snap in enumerate(snapshots):
-            now = 10.0 * (i + 1)
-            table.decay(now, {"flood"} if i % 2 else set(), beta=0.05)
-            peer = store.create_table([], 0.0)
-            for keyword, weight, direct in snap:
-                _seed(peer, keyword, weight, direct)
-            _grow(
-                table, peer, now, 7.5 + i,
-                growth_scale=0.8 if i != 1 else 20.0,  # i=1 hits the clamp
-                elapsed_cap=60.0,
-            )
-        return table, now
-
-    def _state(self, table):
-        return (
-            table._weight.tobytes(), table._present.tobytes(),
-            table._direct.tobytes(), table._last.tobytes(),
-            table.version, table._members_version,
-        )
-
-    def test_decay_and_growth_paths_bitwise_equal(self, monkeypatch):
-        from repro.routing import chitchat as chitchat_module
-
-        states = []
-        for forced_max in (10_000, -1):  # scalar-everywhere, vector-everywhere
-            monkeypatch.setattr(
-                chitchat_module, "_SCALAR_ROWS_MAX", forced_max
-            )
-            table, now = self._seasoned()
-            # beta=5.0 over 13s pushes "power" (w=0.015) below the prune
-            # threshold, so the history includes the dead-row branch.
-            table.decay(now + 13.0, {"fire", "water"}, beta=5.0)
-            states.append(self._state(table))
-        assert states[0] == states[1]
-
-
 class TestLeftToRightSums:
     """Every interest sum adds its weights left to right.
 

@@ -83,6 +83,14 @@ class TestValidation:
         ("population[walker].interests_per_node", {"population": (
             NodeClassSpec("walker", 1.0, interests_per_node=10_000),
         )}),
+        ("selfish_fraction", {
+            "selfish_fraction": 0.7, "malicious_fraction": 0.6,
+        }),
+        ("population[walker].selfish_fraction", {"population": (
+            NodeClassSpec(
+                "walker", 1.0, selfish_fraction=0.7, malicious_fraction=0.6,
+            ),
+        )}),
     ])
     def test_invalid_field_fails_at_construction(self, field_name, value):
         # Each of these used to construct and then fail inside
