@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MetricsCollector
@@ -108,6 +107,10 @@ def summarize(
     std = float(data.std(ddof=1))
     if std == 0.0:
         return SeriesSummary(mean, 0.0, count, mean, mean, confidence)
+    # scipy.stats costs tens of MB and most of a second to import; only
+    # the two statistics functions need it, so simulations never load it.
+    from scipy import stats as scipy_stats
+
     sem = std / math.sqrt(count)
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=count - 1))
     half = t_crit * sem
@@ -129,6 +132,8 @@ def welch_t_test(
         raise ConfigurationError(
             "Welch's t-test needs at least two samples per side"
         )
+    from scipy import stats as scipy_stats
+
     result = scipy_stats.ttest_ind(
         np.asarray(a, dtype=float),
         np.asarray(b, dtype=float),

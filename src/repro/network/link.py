@@ -56,6 +56,8 @@ class Transfer:
     #: ``"loss"`` / ``"corruption"`` (link-layer fault), ``"churn"``
     #: (an endpoint crashed) or ``"blackout"`` (battery depleted).
     abort_reason: Optional[str] = None
+    #: The pending completion event; dropped once the transfer finishes
+    #: or is cut off, since the event's callback refers back to it.
     _handle: Optional[EventHandle] = field(default=None, repr=False)
 
 
@@ -108,7 +110,6 @@ class Link:
         self._queues: Dict[int, Deque[Transfer]] = {
             self.a: deque(), self.b: deque()
         }
-        self._completed: List[Transfer] = []
 
     @property
     def pair(self) -> Tuple[int, int]:
@@ -126,11 +127,6 @@ class Link:
     def transfer_time(self, message: Message) -> float:
         """Seconds needed to move ``message`` over this link."""
         return message.size / self.speed
-
-    @property
-    def completed_transfers(self) -> Tuple[Transfer, ...]:
-        """Transfers that finished successfully on this link."""
-        return tuple(self._completed)
 
     def busy(self, sender: int) -> bool:
         """Whether ``sender``'s direction currently has a transfer going."""
@@ -216,6 +212,10 @@ class Link:
         )
 
     def _finish(self, transfer: Transfer) -> None:
+        # Break the handle -> event -> callback -> transfer cycle, so
+        # reference counting frees all of them once this call returns
+        # (the engine runs with the cyclic collector paused).
+        transfer._handle = None
         if self.closed or transfer.aborted:
             return
         if self._fault_hook is not None:
@@ -233,7 +233,6 @@ class Link:
                 return
         transfer.completed = True
         self._active[transfer.sender] = None
-        self._completed.append(transfer)
         transfer.on_complete(transfer)
         self._start_next(transfer.sender)
 
@@ -276,6 +275,7 @@ class Link:
                 active.abort_reason = reason
                 if active._handle is not None:
                     active._handle.cancel()
+                    active._handle = None
                 casualties.append(active)
                 self._active[sender] = None
             while self._queues[sender]:

@@ -198,27 +198,49 @@ def validate_record(record: object) -> None:
             )
 
 
+def _numbered_lines(source: Path) -> Iterator[Tuple[int, str]]:
+    """``(line number, text)`` for each line of ``source``, read lazily.
+
+    Lines split on ``\\n`` and are numbered from 1.  Recorder output is
+    ASCII JSON, one record per ``\\n``-terminated line, so its files
+    split exactly as ``str.splitlines`` would split them.
+    """
+    try:
+        handle = open(source, "rb")
+    except OSError as exc:
+        raise TraceError(f"{source}: unreadable trace file: {exc}") from None
+    with handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TraceError(
+                    f"{source}:{lineno}: not valid UTF-8: {exc}"
+                ) from None
+            yield lineno, text
+
+
 def iter_trace(
     path: Union[str, Path], *, validate: bool = True
 ) -> Iterator[dict]:
     """Yield every record of a JSONL trace file, in order.
+
+    The file is read one line at a time, so a replay holds one record in
+    memory, not the whole file.
 
     Args:
         path: The trace file.
         validate: Run :func:`validate_record` on each record (default).
 
     Raises:
-        TraceError: On unreadable files, malformed JSON, a missing or
-            version-mismatched header, or (with ``validate``) any
-            schema violation — always naming the offending line.
+        TraceError: On unreadable files, a line that is not UTF-8,
+            malformed JSON, a missing or version-mismatched header, or
+            (with ``validate``) any schema violation — always naming
+            the offending line.
     """
     source = Path(path)
-    try:
-        text = source.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TraceError(f"{source}: unreadable trace file: {exc}") from None
     first = True
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in _numbered_lines(source):
         if not line.strip():
             continue
         try:

@@ -1,5 +1,10 @@
 """Unit tests for the statistical analysis helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tests.helpers import make_message
@@ -13,6 +18,31 @@ from repro.metrics.analysis import (
     welch_t_test,
 )
 from repro.metrics.collector import MetricsCollector
+
+
+#: Imports every entry point a simulation goes through, then lists the
+#: scipy modules that came with them.
+_IMPORT_PROBE = (
+    "import sys\n"
+    "import repro, repro.experiments, repro.cli, repro.trace.audit\n"
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+)
+
+
+def test_importing_the_simulator_does_not_load_scipy():
+    # scipy.stats costs tens of MB of resident memory per process; only
+    # summarize and welch_t_test may load it, on first call.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def collector_with_deliveries():

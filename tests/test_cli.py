@@ -100,6 +100,13 @@ class TestTrace:
         assert code == 1
         assert "invalid trace" in capsys.readouterr().err
 
+    def test_trace_audit_rejects_invalid_byte(self, tmp_path, capsys):
+        bogus = tmp_path / "bogus.jsonl"
+        bogus.write_bytes(b'{"type":"trace-header","t":0.0,"schema":2}\n\xff\n')
+        code = main(["trace", "audit", str(bogus)])
+        assert code == 1
+        assert f"invalid trace: {bogus}:2: " in capsys.readouterr().err
+
 
 class TestExecution:
     def test_table_prints_parameters(self, capsys):

@@ -76,13 +76,6 @@ class TestTransfers:
         assert link.queued(0) == 1
         assert not link.busy(1)
 
-    def test_completed_transfers_recorded(self, engine, link):
-        message = make_message(size=100)
-        transfer = link.send(0, message, on_complete=lambda t: None)
-        engine.run_until(1.0)
-        assert transfer.completed
-        assert link.completed_transfers == (transfer,)
-
 
 class TestClosure:
     def test_close_aborts_in_flight_transfer(self, engine, link):

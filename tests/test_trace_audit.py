@@ -1,12 +1,15 @@
 """Tests for the trace auditor: unit replays over hand-built records,
 plus the property tests that tie the audit back to live simulations."""
 
+import tracemalloc
+
 import pytest
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.faults import FaultConfig
 from repro.trace.audit import replay_trace
+from repro.trace.recorder import JsonlTraceRecorder
 from repro.trace.schema import SCHEMA_VERSION, iter_trace
 
 
@@ -165,6 +168,33 @@ def _traced_run(tmp_path, scheme, seed, *, faults=None, name="run"):
     path = tmp_path / f"{name}.jsonl"
     result = run_scenario(config, scheme, seed=seed, trace_path=str(path))
     return result, path
+
+
+class TestReplayMemory:
+    def test_replay_streams_the_file(self, tmp_path):
+        # 10k-node traces run to hundreds of MB; replay must hold one
+        # record at a time, not the file.
+        path = tmp_path / "long.jsonl"
+        with JsonlTraceRecorder(path) as recorder:
+            for node in range(4):
+                recorder.emit(_open(node, 100.0))
+            for i in range(16_000):
+                t = float(i)
+                recorder.emit({"type": "contact-up", "t": t, "a": 0, "b": 1})
+                recorder.emit({
+                    "type": "transfer-payment", "t": t,
+                    "payer": i % 2, "payee": 1 - i % 2, "amount": 1.0,
+                })
+                recorder.emit({"type": "contact-down", "t": t, "a": 0, "b": 1})
+            recorder.emit({"type": "run-end", "t": 16_000.0})
+        tracemalloc.start()
+        try:
+            audit = replay_trace(path)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert audit.ok and audit.records_read == 48_006
+        assert peak < path.stat().st_size
 
 
 class TestAuditReproducesMetrics:

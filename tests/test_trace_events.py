@@ -138,6 +138,15 @@ class TestIterTrace:
         with pytest.raises(TraceError, match=":2: malformed JSON"):
             list(iter_trace(path))
 
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(
+            (self._header() + "\n").encode()
+            + b'{"type":"contact-up","t":1.0,"a":1,"b":2}\xff\n'
+        )
+        with pytest.raises(TraceError, match=":2: not valid UTF-8"):
+            list(iter_trace(path))
+
     def test_schema_violation_names_the_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
         self._write(path, [
