@@ -26,7 +26,8 @@ The total promise is capped at the maximum incentive:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from repro.errors import ConfigurationError
 from repro.messages.message import Priority
@@ -73,6 +74,12 @@ class IncentiveParams:
     initial_tokens: float = 200.0
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{spec.name} must be finite, got {value!r}"
+                )
         if self.max_incentive <= 0:
             raise ConfigurationError("max_incentive must be > 0")
         if self.hardware_constant < 0:

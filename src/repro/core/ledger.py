@@ -23,6 +23,7 @@ resolves (a crashed holder, a hung exchange) are reclaimable via
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -100,13 +101,14 @@ class TokenLedger:
 
         Raises:
             ConfigurationError: If the account exists or the endowment is
-                negative.
+                negative or not finite.
         """
         if node_id in self._balances:
             raise ConfigurationError(f"account {node_id} already exists")
-        if initial_tokens < 0:
+        if not 0.0 <= initial_tokens < math.inf:
             raise ConfigurationError(
-                f"initial tokens must be >= 0, got {initial_tokens!r}"
+                f"initial tokens must be finite and >= 0, "
+                f"got {initial_tokens!r}"
             )
         self._balances[node_id] = float(initial_tokens)
         self._initial[node_id] = float(initial_tokens)
@@ -174,11 +176,14 @@ class TokenLedger:
 
         Raises:
             InsufficientTokensError: If the payer cannot cover ``amount``.
-            ConfigurationError: For negative amounts or payer == payee.
+            ConfigurationError: For negative or non-finite amounts, or
+                payer == payee.
             UnknownAccountError: If either account is missing.
         """
-        if amount < 0:
-            raise ConfigurationError(f"amount must be >= 0, got {amount!r}")
+        if not 0.0 <= amount < math.inf:
+            raise ConfigurationError(
+                f"amount must be finite and >= 0, got {amount!r}"
+            )
         if payer == payee:
             raise ConfigurationError(
                 f"payer and payee must differ, both were {payer}"
@@ -247,9 +252,12 @@ class TokenLedger:
 
         Raises:
             InsufficientTokensError: If the payer cannot cover ``amount``.
+            ConfigurationError: For negative or non-finite amounts.
         """
-        if amount < 0:
-            raise ConfigurationError(f"amount must be >= 0, got {amount!r}")
+        if not 0.0 <= amount < math.inf:
+            raise ConfigurationError(
+                f"amount must be finite and >= 0, got {amount!r}"
+            )
         balance = self.balance(payer)
         if balance < amount:
             raise InsufficientTokensError(str(payer), amount, balance)

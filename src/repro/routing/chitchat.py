@@ -643,11 +643,17 @@ class InterestStore:
             table._attach()
 
     def ensure_columns(self, keyword_id: int) -> None:
-        """Widen all rows to cover ``keyword_id`` (geometric growth)."""
+        """Widen all rows to the next multiple of 8 covering
+        ``keyword_id``.
+
+        Every decay, growth and plan pass works on whole rows, so
+        columns past the index are work for nothing; whole words are
+        all the planner's OR needs.
+        """
         old = self._w.shape[1]
         if keyword_id < old:
             return
-        new = max(old * 2, (keyword_id + 8) // 8 * 8)
+        new = (keyword_id + 8) // 8 * 8
         for name in ("_w", "_d", "_l", "_p"):
             array = getattr(self, name)
             grown = np.zeros((array.shape[0], new), dtype=array.dtype)

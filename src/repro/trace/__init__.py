@@ -10,8 +10,10 @@ writes one JSON object per event to a JSONL file.
 
 The default recorder is a null object whose :attr:`enabled` flag is
 ``False``; every emission site guards on that flag, so a run without
-tracing pays a single attribute load per event (< 2% on the paper-scale
-probe, enforced by the bench harness).
+tracing pays a single attribute load per event.  No benchmark isolates
+that cost: ``bench/run.py`` times whole runs with tracing off, and in
+its traced round the enabled recorder's ``emit`` (``trace.emit_s``) and
+the replay (``trace.audit_s``).
 
 * :mod:`repro.trace.schema` — the versioned record-type registry and
   per-record validation.

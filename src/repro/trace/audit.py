@@ -31,7 +31,8 @@ __all__ = ["Violation", "NodeFlow", "TraceAudit", "replay_trace"]
 
 #: Incremental float sums may drift from the per-account ledger by a few
 #: ulps over hundreds of thousands of events; anything beyond this is a
-#: genuine conservation break, not rounding.
+#: genuine conservation break, not rounding.  Every tolerance test below
+#: is written ``not (error <= tolerance)`` so that a NaN fails it.
 _CONSERVATION_TOL = 1e-6
 
 
@@ -157,7 +158,7 @@ def replay_trace(
     def check_conservation(index: int, t: float) -> None:
         audit.conservation_checks += 1
         drift = balance_sum + escrow_sum - audit.endowment
-        if abs(drift) > _CONSERVATION_TOL:
+        if not abs(drift) <= _CONSERVATION_TOL:
             fail(
                 index, t,
                 f"conservation broken: balances+escrow drifted "
@@ -169,7 +170,7 @@ def replay_trace(
         if payer not in balances:
             fail(index, t, f"{what} debits unknown account {payer}")
             return False
-        if balances[payer] < amount - 1e-9:
+        if not balances[payer] >= amount - 1e-9:
             fail(
                 index, t,
                 f"{what} overdraws account {payer}: "
@@ -233,7 +234,7 @@ def replay_trace(
             held_payer, held_amount = entry
             payer = record["payer"]
             amount = float(record["amount"])
-            if payer != held_payer or abs(amount - held_amount) > 1e-9:
+            if payer != held_payer or not abs(amount - held_amount) <= 1e-9:
                 fail(
                     index, t,
                     f"{kind} on hold {hold} claims payer={payer} "
@@ -288,7 +289,7 @@ def replay_trace(
                     replayed = balances.get(node)
                     if replayed is None:
                         fail(index, t, f"run-end lists unknown account {node}")
-                    elif abs(replayed - float(value)) > 1e-9:
+                    elif not abs(replayed - float(value)) <= 1e-9:
                         fail(
                             index, t,
                             f"account {node}: replayed balance "
@@ -317,9 +318,9 @@ def replay_trace(
                     f"replayed tokens_moved={audit.tokens_moved!r}, run "
                     f"recorded {record['tokens_moved']!r}",
                 )
-            if "supply" in record and abs(
+            if "supply" in record and not abs(
                 float(record["supply"]) - (balance_sum + escrow_sum)
-            ) > _CONSERVATION_TOL:
+            ) <= _CONSERVATION_TOL:
                 fail(
                     index, t,
                     f"replayed supply {balance_sum + escrow_sum:.9f} != "

@@ -8,13 +8,16 @@ nearly free: every instrumented component holds a recorder (the shared
         self.trace.emit({"type": ..., "t": now, ...})
 
 ``enabled`` is a class attribute, so a disabled run costs one attribute
-load and a branch per event — no dict building, no I/O.  The bench
-harness holds this under 2% on the paper-scale probe.
+load and a branch per event — no dict building, no I/O.  No benchmark
+isolates that cost: ``bench/run.py`` times whole runs with tracing off,
+and in its traced round :meth:`JsonlTraceRecorder.emit`
+(``trace.emit_s``).
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Optional, Union
 
@@ -74,6 +77,19 @@ class JsonlTraceRecorder(TraceRecorder):
             raise TraceError(
                 f"cannot open trace file {self._path}: {exc}"
             ) from None
+        # json.dumps(record, separators=(",", ":")) builds a fresh C
+        # encoder per record; this is the same encoder, made once with
+        # the arguments JSONEncoder.iterencode passes it, so every line
+        # is byte-identical to json.dumps.  The encoder keeps its
+        # circular-reference markers between calls: emit clears them
+        # after a failed record.
+        spec = json.JSONEncoder(separators=(",", ":"))
+        self._markers: dict = {}
+        self._encode = c_make_encoder(
+            self._markers, spec.default, encode_basestring_ascii,
+            spec.indent, spec.key_separator, spec.item_separator,
+            spec.sort_keys, spec.skipkeys, spec.allow_nan,
+        )
         self.records_written = 0
         header = {"type": "trace-header", "t": 0.0, "schema": SCHEMA_VERSION}
         if meta:
@@ -90,8 +106,12 @@ class JsonlTraceRecorder(TraceRecorder):
             raise TraceError(
                 f"trace recorder for {self._path} is already closed"
             )
-        self._file.write(json.dumps(record, separators=(",", ":")))
-        self._file.write("\n")
+        try:
+            chunks = self._encode(record, 0)
+        except BaseException:
+            self._markers.clear()
+            raise
+        self._file.write("".join(chunks) + "\n")
         self.records_written += 1
 
     def close(self) -> None:

@@ -16,9 +16,10 @@ producing records nobody can replay.
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
-from typing import Dict, Iterator, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple, Union
 
 from repro.errors import TraceError
 
@@ -152,13 +153,62 @@ RECORD_TYPES: Dict[str, Tuple[Dict[str, tuple], Dict[str, tuple]]] = {
 _BASE_FIELDS = ("type", "t")
 
 
+def _compile(
+    spec: Tuple[Dict[str, tuple], Dict[str, tuple]],
+) -> Tuple[FrozenSet[str], FrozenSet[str], Dict[str, FrozenSet[type]]]:
+    """One registry entry as ``(required, allowed, exact)``.
+
+    ``required`` and ``allowed`` are key sets (both include ``type``
+    and ``t``); ``exact`` maps each allowed field to the exact
+    value types it accepts without further checks.  Those are the
+    registry's own tuple members, so ``bool`` passes only where the
+    registry names it; a subclass value (an ``IntEnum``, a NumPy float)
+    is left to :func:`_check_fields`.
+    """
+    required, optional = spec
+    exact = {"type": frozenset(_STR), "t": frozenset(_NUM)}
+    for name, types in {**required, **optional}.items():
+        exact[name] = frozenset(types)
+    return frozenset(required).union(_BASE_FIELDS), frozenset(exact), exact
+
+
+#: :data:`RECORD_TYPES`, compiled once for :func:`validate_record`.
+_COMPILED = {kind: _compile(spec) for kind, spec in RECORD_TYPES.items()}
+
+
 def validate_record(record: object) -> None:
     """Check one decoded record against the registry.
+
+    A valid record costs two key-set inclusions and one exact-type test
+    per field.  Anything that fails them is walked field by field
+    against :data:`RECORD_TYPES`, which names the first problem.
 
     Raises:
         TraceError: If the record is not a dict, has an unknown type, a
             missing/ill-typed field, or any field the registry does not
             declare.
+    """
+    kind = record.get("type") if isinstance(record, dict) else None
+    spec = _COMPILED.get(kind) if type(kind) is str else None
+    if spec is not None:
+        required, allowed, exact = spec
+        keys = record.keys()
+        if keys >= required and keys <= allowed:
+            for name, value in record.items():
+                if type(value) not in exact[name]:
+                    break
+            else:
+                return
+    _check_fields(record)
+
+
+def _check_fields(record: object) -> None:
+    """The registry walk behind :func:`validate_record`.
+
+    Raises the record's first problem, in the order the fields are
+    checked (``type``, ``t``, required fields in registry order, then
+    the rest in record order), or returns for a valid record whose
+    values are subclasses of the registry's types.
     """
     if not isinstance(record, dict):
         raise TraceError(f"record must be a JSON object, got {type(record).__name__}")
@@ -198,26 +248,104 @@ def validate_record(record: object) -> None:
             )
 
 
-def _numbered_lines(source: Path) -> Iterator[Tuple[int, str]]:
-    """``(line number, text)`` for each line of ``source``, read lazily.
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"non-finite number {name}")
 
-    Lines split on ``\\n`` and are numbered from 1.  Recorder output is
-    ASCII JSON, one record per ``\\n``-terminated line, so its files
-    split exactly as ``str.splitlines`` would split them.
+
+#: Strict JSON: ``NaN``, ``Infinity`` and ``-Infinity`` are not numbers
+#: a trace may carry, so the decoder refuses them.
+_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+#: Bytes of whole lines :func:`iter_trace` reads and parses at once
+#: (a single longer line is a block of its own).
+_BLOCK_BYTES = 1 << 16
+
+
+def _blocks(source: Path) -> Iterator[Tuple[int, bytes]]:
+    """``(first line number, bytes)`` for each block of ``source``.
+
+    Lines split on ``\\n`` only and are numbered from 1.  Every block
+    but an unterminated last line ends with ``\\n``.
     """
     try:
         handle = open(source, "rb")
     except OSError as exc:
         raise TraceError(f"{source}: unreadable trace file: {exc}") from None
     with handle:
-        for lineno, raw in enumerate(handle, start=1):
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TraceError(
-                    f"{source}:{lineno}: not valid UTF-8: {exc}"
-                ) from None
-            yield lineno, text
+        lineno = 1
+        tail = b""
+        while True:
+            chunk = handle.read(_BLOCK_BYTES - len(tail))
+            if not chunk:
+                break
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                block = tail + chunk[:cut]
+                tail = chunk[cut:]
+            else:
+                # No line ends in the room left: finish this line and
+                # make it a block of its own.
+                block = tail + chunk + handle.readline()
+                tail = b""
+            yield lineno, block
+            lineno += block.count(b"\n")
+        if tail:
+            yield lineno, tail
+
+
+def _parse_block(block: bytes) -> Optional[list]:
+    """A block's records, one per line, from one JSON array parse.
+
+    Returns ``None`` unless the block passes the exactness guard and
+    the parse (DESIGN.md §8, "Trace encoding and block replay"): it
+    decodes as UTF-8, holds no ``[``, every line starts with ``{`` and
+    ends with ``}``, and the array has one element per line.  The
+    caller then parses that block line by line.
+    """
+    try:
+        text = block.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    lines = text.count("\n")
+    # For a text of \n-terminated lines, "every line is {...}" is: the
+    # text starts with "{", ends with "}\n", and each of the other
+    # lines - 1 newlines sits in a "}\n{".
+    if (
+        "[" in text
+        or not text.startswith("{")
+        or not text.endswith("}\n")
+        or text.count("}\n{") != lines - 1
+    ):
+        return None
+    try:
+        records = _decode("[" + text[:-1].replace("\n", ",\n") + "]")
+    except (ValueError, RecursionError):
+        return None
+    return records if len(records) == lines else None
+
+
+def _parse_lines(
+    source: Path, start: int, block: bytes
+) -> Iterator[Tuple[int, object]]:
+    """``(line number, record)`` for each non-blank line of ``block``.
+
+    One decode and one parse per line: the reference reading, which
+    names the first offending line.
+    """
+    for lineno, raw in enumerate(io.BytesIO(block), start):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceError(
+                f"{source}:{lineno}: not valid UTF-8: {exc}"
+            ) from None
+        if not line.strip():
+            continue
+        try:
+            record = _decode(line)
+        except ValueError as exc:
+            raise TraceError(f"{source}:{lineno}: malformed JSON: {exc}") from None
+        yield lineno, record
 
 
 def iter_trace(
@@ -225,8 +353,10 @@ def iter_trace(
 ) -> Iterator[dict]:
     """Yield every record of a JSONL trace file, in order.
 
-    The file is read one line at a time, so a replay holds one record in
-    memory, not the whole file.
+    The file is read in blocks of at most 64 KiB of whole lines, so a
+    replay holds one block in memory, not the whole file.  A block of
+    recorder output parses as one JSON array; any other block is parsed
+    line by line, with the same records and errors.
 
     Args:
         path: The trace file.
@@ -234,37 +364,41 @@ def iter_trace(
 
     Raises:
         TraceError: On unreadable files, a line that is not UTF-8,
-            malformed JSON, a missing or version-mismatched header, or
-            (with ``validate``) any schema violation — always naming
-            the offending line.
+            malformed JSON (including ``NaN`` and ``Infinity``), a
+            missing or version-mismatched header, or (with
+            ``validate``) any schema violation — always naming the
+            offending line.
     """
     source = Path(path)
     first = True
-    for lineno, line in _numbered_lines(source):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise TraceError(f"{source}:{lineno}: malformed JSON: {exc}") from None
-        if validate:
-            try:
-                validate_record(record)
-            except TraceError as exc:
-                raise TraceError(f"{source}:{lineno}: {exc}") from None
-        if first:
-            first = False
-            if not isinstance(record, dict) or record.get("type") != "trace-header":
-                raise TraceError(
-                    f"{source}:{lineno}: first record must be a trace-header"
-                )
-            version = record.get("schema")
-            if version not in SUPPORTED_VERSIONS:
-                raise TraceError(
-                    f"{source}: schema version {version!r} is not supported "
-                    f"(this build reads versions "
-                    f"{sorted(SUPPORTED_VERSIONS)})"
-                )
-        yield record
+    for start, block in _blocks(source):
+        records = _parse_block(block)
+        numbered = (
+            _parse_lines(source, start, block) if records is None
+            else enumerate(records, start)
+        )
+        for lineno, record in numbered:
+            if validate:
+                try:
+                    validate_record(record)
+                except TraceError as exc:
+                    raise TraceError(f"{source}:{lineno}: {exc}") from None
+            if first:
+                first = False
+                if not isinstance(record, dict) or (
+                    record.get("type") != "trace-header"
+                ):
+                    raise TraceError(
+                        f"{source}:{lineno}: first record must be a "
+                        f"trace-header"
+                    )
+                version = record.get("schema")
+                if version not in SUPPORTED_VERSIONS:
+                    raise TraceError(
+                        f"{source}: schema version {version!r} is not "
+                        f"supported (this build reads versions "
+                        f"{sorted(SUPPORTED_VERSIONS)})"
+                    )
+            yield record
     if first:
         raise TraceError(f"{source}: empty trace file (no records)")

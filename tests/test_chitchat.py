@@ -173,6 +173,20 @@ class TestInterestTable:
             _grow(mine, peer, now=0.0, elapsed=-1.0, elapsed_cap=10.0)
 
 
+class TestStoreWidth:
+    def test_width_is_the_index_rounded_up_to_whole_words(self):
+        # Every decay, growth and plan pass spans the full width, and
+        # the planner's OR needs only whole 8-column words.
+        store = InterestStore(KeywordIndex())
+        table = store.create_table([], created_at=0.0)
+        assert store.columns == 8
+        for n in range(1, 201):
+            _seed(table, f"k{n}", 0.5, True)
+            assert store.columns == -(-len(store.index) // 8) * 8
+        assert store.columns == 200
+        assert all(table.weight(f"k{n}") == 0.5 for n in range(1, 201))
+
+
 class TestRouterClassification:
     def make(self):
         router = ChitChatRouter()

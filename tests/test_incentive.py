@@ -1,5 +1,8 @@
 """Unit tests for the incentive formulas (Algorithm 3 and friends)."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.core.incentive import (
@@ -46,6 +49,14 @@ class TestParams:
     )
     def test_invalid_params_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
+            IncentiveParams(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", [spec.name for spec in dataclasses.fields(IncentiveParams)]
+    )
+    def test_non_finite_params_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
             IncentiveParams(**{field: value})
 
 

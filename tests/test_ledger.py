@@ -1,5 +1,7 @@
 """Unit tests for the token ledger."""
 
+import math
+
 import pytest
 
 from repro.core.ledger import TokenLedger
@@ -34,6 +36,13 @@ class TestAccounts:
         with pytest.raises(ConfigurationError):
             TokenLedger().open_account(1, -1.0)
 
+    @pytest.mark.parametrize("amount", [math.nan, math.inf])
+    def test_non_finite_endowment_rejected(self, amount):
+        book = TokenLedger()
+        with pytest.raises(ConfigurationError, match="initial tokens"):
+            book.open_account(1, amount)
+        assert not book.has_account(1)
+
     def test_unknown_account_raises(self, ledger):
         with pytest.raises(UnknownAccountError):
             ledger.balance(99)
@@ -64,6 +73,15 @@ class TestTransfers:
     def test_negative_amount_rejected(self, ledger):
         with pytest.raises(ConfigurationError):
             ledger.transfer(1, 2, -1.0, time=0.0)
+
+    @pytest.mark.parametrize("amount", [math.nan, math.inf])
+    def test_non_finite_amount_rejected(self, ledger, amount):
+        with pytest.raises(ConfigurationError, match="amount"):
+            ledger.transfer(1, 2, amount, time=0.0)
+        with pytest.raises(ConfigurationError, match="amount"):
+            ledger.escrow(1, amount, time=0.0)
+        assert ledger.balance(1) == ledger.balance(2) == 100.0
+        assert ledger.escrowed_total() == 0.0
 
     def test_self_transfer_rejected(self, ledger):
         with pytest.raises(ConfigurationError):

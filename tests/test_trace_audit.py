@@ -125,6 +125,40 @@ class TestReplayUnit:
         ])
         assert any("replayed balance" in str(v) for v in audit.violations)
 
+    def test_nan_economy_fails_the_audit(self):
+        # NaN compares false to everything; every tolerance test must
+        # still fail on it.
+        nan = float("nan")
+        audit = replay_trace([
+            _header(),
+            _open(1, nan), _open(2, 10.0),
+            {"type": "run-end", "t": 1.0, "supply": nan,
+             "balances": {"1": nan, "2": 10.0}},
+        ])
+        assert not audit.ok
+        messages = [str(v) for v in audit.violations]
+        assert any("conservation broken" in m for m in messages)
+        assert any("replayed supply" in m for m in messages)
+        assert any("account 1: replayed balance" in m for m in messages)
+
+    def test_nan_amounts_fail_the_audit(self):
+        nan = float("nan")
+        audit = replay_trace([
+            _header(),
+            _open(1, 10.0), _open(2, 10.0),
+            {"type": "transfer-payment", "t": 1.0, "payer": 1, "payee": 2,
+             "amount": nan},
+            {"type": "escrow-hold", "t": 2.0, "hold": 1, "payer": 1,
+             "amount": 1.0},
+            {"type": "escrow-capture", "t": 3.0, "hold": 1, "payer": 1,
+             "payee": 2, "amount": nan},
+            {"type": "run-end", "t": 4.0, "supply": 20.0,
+             "balances": {"1": 9.0, "2": 11.0}},
+        ])
+        messages = [str(v) for v in audit.violations]
+        assert any("transfer overdraws account 1" in m for m in messages)
+        assert any("escrow-capture on hold 1 claims" in m for m in messages)
+
     def test_double_open_is_a_violation(self):
         audit = replay_trace([_header(), _open(1, 5.0), _open(1, 5.0)])
         assert any("opened twice" in str(v) for v in audit.violations)
