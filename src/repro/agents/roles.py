@@ -44,8 +44,10 @@ class RoleHierarchy:
             )
         if len(set(levels)) != len(levels):
             raise ConfigurationError("role names must be unique")
-        if any(f < 0 for f in fractions):
-            raise ConfigurationError("fractions must be >= 0")
+        if not all(0.0 <= f <= 1.0 for f in fractions):
+            raise ConfigurationError(
+                f"fractions must be in [0, 1], got {tuple(fractions)!r}"
+            )
         total = sum(fractions)
         if abs(total - 1.0) > 1e-9:
             raise ConfigurationError(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 
 from repro.errors import ConfigurationError
 from repro.messages.message import Priority
@@ -76,7 +77,7 @@ class IncentiveParams:
     def __post_init__(self) -> None:
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if not math.isfinite(value):
+            if not (isinstance(value, Real) and math.isfinite(value)):
                 raise ConfigurationError(
                     f"{spec.name} must be finite, got {value!r}"
                 )

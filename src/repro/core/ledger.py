@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
@@ -101,14 +102,17 @@ class TokenLedger:
 
         Raises:
             ConfigurationError: If the account exists or the endowment is
-                negative or not finite.
+                not a number, negative or not finite.
         """
         if node_id in self._balances:
             raise ConfigurationError(f"account {node_id} already exists")
-        if not 0.0 <= initial_tokens < math.inf:
+        if not (
+            isinstance(initial_tokens, Real)
+            and 0.0 <= initial_tokens < math.inf
+        ):
             raise ConfigurationError(
-                f"initial tokens must be finite and >= 0, "
-                f"got {initial_tokens!r}"
+                f"account {node_id}: initial tokens must be a finite "
+                f"number >= 0, got {initial_tokens!r}"
             )
         self._balances[node_id] = float(initial_tokens)
         self._initial[node_id] = float(initial_tokens)

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import build_contact_trace, run_scenario
+from repro.experiments.sweeps import sweep
 from repro.experiments.trace_cache import TraceCache
 from repro.faults import FaultConfig
 from repro.schemes import tagged
@@ -128,9 +128,6 @@ def fault_sweep(
           :class:`~repro.experiments.runner.RunResult` or
           :class:`~repro.experiments.parallel.RunDigest` objects.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise ConfigurationError("seeds must be non-empty")
     configs = fault_grid_configs(
         base,
         loss_levels,
@@ -141,46 +138,15 @@ def fault_sweep(
         max_retransmissions=max_retransmissions,
         retransmit_backoff=retransmit_backoff,
     )
-
-    if workers == 1:
-        grouped: Dict[object, List[object]] = {}
-        traces = {
-            seed: build_contact_trace(base, seed, cache=trace_cache)
-            for seed in seeds
-        }
-        for index, config in enumerate(configs):
-            for scheme in schemes:
-                grouped[(index, scheme)] = [
-                    run_scenario(
-                        config, scheme, seed, trace=traces[seed]
-                    )
-                    for seed in seeds
-                ]
-    else:
-        from repro.experiments.parallel import (
-            RunSpec,
-            ensure_success,
-            run_specs,
-        )
-
-        specs = []
-        order = []
-        for index, config in enumerate(configs):
-            for scheme in schemes:
-                for seed in seeds:
-                    specs.append(RunSpec(config, scheme, seed))
-                    order.append((index, scheme))
-        digests = ensure_success(
-            run_specs(specs, workers=workers, cache=trace_cache)
-        )
-        grouped = {}
-        for key, digest in zip(order, digests):
-            grouped.setdefault(key, []).append(digest)
-
+    points = iter(sweep(
+        base, lambda _, config: config, configs,
+        schemes=schemes, seeds=seeds, workers=workers,
+        trace_cache=trace_cache,
+    ))
     records: List[Dict[str, object]] = []
-    for index, level in enumerate(loss_levels):
+    for level in loss_levels:
         for scheme in schemes:
-            results = grouped[(index, scheme)]
+            results = next(points)["results"]
             summaries = [r.summary() for r in results]
             fault_summaries = [r.fault_summary() for r in results]
             delivered = [s["delivered_pairs"] for s in summaries]

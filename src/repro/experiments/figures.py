@@ -14,11 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import (
-    RunResult,
-    build_contact_trace,
-    run_scenario,
-)
+from repro.experiments.sweeps import sweep
 from repro.messages.message import Priority
 from repro.metrics.reports import ascii_chart, format_series, format_table
 from repro.schemes import tagged
@@ -92,36 +88,8 @@ class FigureResult:
         return [y for _, y in self.series[name]]
 
 
-def _averaged_runs(
-    config: ScenarioConfig,
-    scheme: str,
-    seeds: Sequence[int],
-    traces: Dict[int, object],
-    *,
-    workers: Optional[int] = 1,
-    **kwargs,
-) -> List[RunResult]:
-    """Run ``scheme`` once per seed, reusing per-seed contact traces.
-
-    With ``workers != 1`` the seeds fan out over a process pool and the
-    returned elements are picklable digests; their ``mdr``, ``traffic``
-    and ``metrics`` accessors match :class:`RunResult`.
-    """
-    for seed in seeds:
-        if traces.get(seed) is None:
-            traces[seed] = build_contact_trace(config, seed)
-    if workers == 1:
-        return [
-            run_scenario(config, scheme, seed, trace=traces[seed], **kwargs)
-            for seed in seeds
-        ]
-    from repro.experiments.parallel import RunSpec, ensure_success, run_specs
-
-    specs = [
-        RunSpec(config, scheme, seed, {**kwargs, "trace": traces[seed]})
-        for seed in seeds
-    ]
-    return ensure_success(run_specs(specs, workers=workers))
+def _with_selfish(config: ScenarioConfig, fraction: float) -> ScenarioConfig:
+    return config.replace(selfish_fraction=fraction)
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -153,15 +121,13 @@ def fig5_1_mdr_vs_selfish(
         y_label="MDR",
         series={scheme: [] for scheme in PAPER_PAIR},
     )
-    traces: Dict[int, object] = {}
-    for fraction in selfish_grid:
-        point = config.replace(selfish_fraction=fraction)
-        for scheme in PAPER_PAIR:
-            runs = _averaged_runs(point, scheme, seeds, traces,
-                                  workers=workers)
-            result.series[scheme].append(
-                (fraction * 100.0, _mean([r.mdr for r in runs]))
-            )
+    for record in sweep(
+        config, _with_selfish, selfish_grid,
+        schemes=PAPER_PAIR, seeds=seeds, workers=workers,
+    ):
+        result.series[record["scheme"]].append(
+            (record["value"] * 100.0, record["mdr"])
+        )
     return result
 
 
@@ -188,20 +154,20 @@ def fig5_2_traffic_reduction(
         y_label="traffic reduction %",
         series={"reduction": []},
     )
-    traces: Dict[int, object] = {}
-    for fraction in selfish_grid:
-        point = config.replace(selfish_fraction=fraction)
-        chitchat = _averaged_runs(point, BASELINE_SCHEME, seeds, traces,
-                                  workers=workers)
-        incentive = _averaged_runs(point, INCENTIVE_SCHEME, seeds, traces,
-                                   workers=workers)
-        base_traffic = _mean([float(r.traffic) for r in chitchat])
-        ours_traffic = _mean([float(r.traffic) for r in incentive])
+    records = sweep(
+        config, _with_selfish, selfish_grid,
+        schemes=PAPER_PAIR, seeds=seeds, workers=workers,
+    )
+    # PAPER_PAIR is (baseline, incentive): records alternate the two.
+    for chitchat, incentive in zip(records[0::2], records[1::2]):
+        base_traffic = chitchat["traffic"]
         reduction = (
-            100.0 * (base_traffic - ours_traffic) / base_traffic
+            100.0 * (base_traffic - incentive["traffic"]) / base_traffic
             if base_traffic > 0 else 0.0
         )
-        result.series["reduction"].append((fraction * 100.0, reduction))
+        result.series["reduction"].append(
+            (chitchat["value"] * 100.0, reduction)
+        )
     return result
 
 
@@ -227,20 +193,22 @@ def fig5_3_initial_tokens(
         title="Initial Tokens' Variance",
         x_label="initial tokens",
         y_label="MDR",
+        series={
+            f"{INCENTIVE_SCHEME} selfish={selfish:.0%}": []
+            for selfish in selfish_levels
+        },
     )
-    traces: Dict[int, object] = {}
-    for selfish in selfish_levels:
-        name = f"{INCENTIVE_SCHEME} selfish={selfish:.0%}"
-        result.series[name] = []
-        for tokens in token_grid:
-            point = config.replace(
-                selfish_fraction=selfish
-            ).with_tokens(tokens)
-            runs = _averaged_runs(point, INCENTIVE_SCHEME, seeds, traces,
-                                  workers=workers)
-            result.series[name].append(
-                (float(tokens), _mean([r.mdr for r in runs]))
-            )
+    for record in sweep(
+        config,
+        lambda cfg, point: _with_selfish(cfg, point[0]).with_tokens(point[1]),
+        [(selfish, tokens) for selfish in selfish_levels
+         for tokens in token_grid],
+        schemes=(INCENTIVE_SCHEME,), seeds=seeds, workers=workers,
+    ):
+        selfish, tokens = record["value"]
+        result.series[f"{INCENTIVE_SCHEME} selfish={selfish:.0%}"].append(
+            (float(tokens), record["mdr"])
+        )
     return result
 
 
@@ -274,35 +242,19 @@ def fig5_4_malicious_ratings(
         notes="rating ceiling r_m = 5; unknown nodes default to "
               f"{config.incentive.default_rating}",
     )
-    for level in malicious_levels:
-        point = config.replace(malicious_fraction=level)
+    for record in sweep(
+        config, lambda cfg, level: cfg.replace(malicious_fraction=level),
+        malicious_levels, schemes=(INCENTIVE_SCHEME,), seeds=seeds,
+        workers=workers, sample_ratings=True, rating_sample_interval=interval,
+    ):
         per_time: Dict[float, List[float]] = {}
-        sampling = dict(sample_ratings=True, rating_sample_interval=interval)
-        if workers == 1:
-            runs = [
-                run_scenario(point, INCENTIVE_SCHEME, seed, **sampling)
-                for seed in seeds
-            ]
-        else:
-            from repro.experiments.parallel import (
-                RunSpec,
-                ensure_success,
-                run_specs,
-            )
-
-            runs = ensure_success(run_specs(
-                [RunSpec(point, INCENTIVE_SCHEME, seed, dict(sampling))
-                 for seed in seeds],
-                workers=workers,
-            ))
-        for run in runs:
+        for run in record["results"]:
             for time, ratings in run.metrics.rating_samples:
                 if ratings:
                     per_time.setdefault(time, []).append(
                         _mean(list(ratings.values()))
                     )
-        series_name = f"malicious={level:.0%}"
-        result.series[series_name] = [
+        result.series[f"malicious={record['value']:.0%}"] = [
             (time, _mean(values))
             for time, values in sorted(per_time.items())
         ]
@@ -333,15 +285,13 @@ def fig5_5_mdr_vs_users(
         y_label="MDR",
         series={scheme: [] for scheme in PAPER_PAIR},
     )
-    for users in user_grid:
-        point = config.replace(n_nodes=int(users))
-        traces: Dict[int, object] = {}
-        for scheme in PAPER_PAIR:
-            runs = _averaged_runs(point, scheme, seeds, traces,
-                                  workers=workers)
-            result.series[scheme].append(
-                (float(users), _mean([r.mdr for r in runs]))
-            )
+    for record in sweep(
+        config, lambda cfg, users: cfg.replace(n_nodes=int(users)),
+        user_grid, schemes=PAPER_PAIR, seeds=seeds, workers=workers,
+    ):
+        result.series[record["scheme"]].append(
+            (float(record["value"]), record["mdr"])
+        )
     return result
 
 
@@ -368,23 +318,19 @@ def fig5_6_priority_mdr(
         x_label="priority (1=high, 3=low)",
         y_label="MDR",
     )
-    traces: Dict[int, object] = {}
-    for selfish in selfish_levels:
-        point = config.replace(selfish_fraction=selfish)
-        for scheme in PAPER_PAIR:
-            runs = _averaged_runs(point, scheme, seeds, traces,
-                                  workers=workers)
-            by_priority: Dict[Priority, List[float]] = {
-                p: [] for p in Priority
-            }
-            for run in runs:
-                for priority, value in run.metrics.mdr_by_priority().items():
-                    by_priority[priority].append(value)
-            name = f"{scheme} selfish={selfish:.0%}"
-            result.series[name] = [
-                (float(int(priority)), _mean(values))
-                for priority, values in sorted(by_priority.items())
-            ]
+    for record in sweep(
+        config, _with_selfish, selfish_levels,
+        schemes=PAPER_PAIR, seeds=seeds, workers=workers,
+    ):
+        by_priority: Dict[Priority, List[float]] = {p: [] for p in Priority}
+        for run in record["results"]:
+            for priority, value in run.metrics.mdr_by_priority().items():
+                by_priority[priority].append(value)
+        name = f"{record['scheme']} selfish={record['value']:.0%}"
+        result.series[name] = [
+            (float(int(priority)), _mean(values))
+            for priority, values in sorted(by_priority.items())
+        ]
     return result
 
 

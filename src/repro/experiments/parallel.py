@@ -17,8 +17,15 @@ a :class:`RunFailure` naming the ``(scheme, seed)`` that died instead of
 poisoning the pool; :func:`ensure_success` turns failures into one
 :class:`~repro.errors.ExperimentError` listing every casualty.
 
-``workers=1`` (the default everywhere) bypasses the pool entirely and
-runs in-process; ``workers=None`` means ``os.cpu_count()``.
+Every multi-run experiment (comparisons, seed averages, sweeps and the
+figure generators) builds its list of specs once and hands it to one
+executor, :func:`execute_runs`.  ``workers=1`` (the default everywhere)
+runs the list in-process and returns full results, because the router
+graph a figure may inspect never crosses a process boundary; any other
+value runs it over the pool through :func:`run_specs` and returns
+digests (``workers=None`` means ``os.cpu_count()``).  Both modes give
+each run its own trace file, share contact traces the same way and
+read the same trace cache.
 """
 
 from __future__ import annotations
@@ -27,9 +34,14 @@ import dataclasses
 import os
 import time
 import traceback as traceback_module
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from pathlib import Path
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import ExperimentError
 from repro.experiments.config import ScenarioConfig
@@ -37,8 +49,10 @@ from repro.experiments.trace_cache import (
     TraceCache,
     get_default_cache,
     set_default_cache,
+    trace_cache_key,
 )
 from repro.messages.message import Priority
+from repro.trace.recorder import derive_trace_path
 
 __all__ = [
     "RunSpec",
@@ -120,7 +134,7 @@ class RunDigest:
     metrics: MetricsDigest
     attempts: int = 1
     #: Where the run's event trace was written (None when untraced);
-    #: lets callers collect per-worker trace files after a sweep.
+    #: lets callers collect the per-run trace files after a sweep.
     trace_path: Optional[str] = None
 
     @property
@@ -185,19 +199,28 @@ def digest_of(result) -> RunDigest:
     )
 
 
+def _result_of(spec: RunSpec):
+    """Run one spec in this process and return its full result.
+
+    The executor's in-process mode and :func:`execute_spec` both run
+    specs here.  A run that brings no contact trace builds it through
+    the default cache, which the caller has set to the call's cache.
+    """
+    from repro.experiments.runner import run_scenario
+
+    return run_scenario(
+        spec.config, spec.scheme, spec.seed, **spec.run_kwargs
+    )
+
+
 def execute_spec(spec: RunSpec) -> Union[RunDigest, RunFailure]:
     """Execute one spec, catching any failure into a :class:`RunFailure`.
 
     This is the worker entry point; it must stay a module-level function
     so the pool can pickle it.
     """
-    from repro.experiments.runner import run_scenario
-
     try:
-        result = run_scenario(
-            spec.config, spec.scheme, spec.seed, **spec.run_kwargs
-        )
-        return digest_of(result)
+        return digest_of(_result_of(spec))
     except Exception as exc:
         return RunFailure(
             scheme=spec.scheme,
@@ -207,10 +230,23 @@ def execute_spec(spec: RunSpec) -> Union[RunDigest, RunFailure]:
         )
 
 
-def _worker_initializer(cache_dir: Optional[str]) -> None:
-    """Install the shared trace cache in a fresh worker process."""
-    if cache_dir:
-        set_default_cache(TraceCache(cache_dir))
+@contextmanager
+def _cache_installed(cache: Optional[TraceCache]) -> Iterator[None]:
+    """Make ``cache`` this process's default trace cache for the block.
+
+    In-process runs then read the call's cache the way pool workers do:
+    the pool installs it as each worker's default.  ``None`` keeps the
+    current default.
+    """
+    if cache is None:
+        yield
+        return
+    previous = get_default_cache()
+    set_default_cache(cache)
+    try:
+        yield
+    finally:
+        set_default_cache(previous)
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -237,11 +273,34 @@ def _result_or_failure(future, spec: RunSpec) -> Union[RunDigest, RunFailure]:
         )
 
 
-def _backoff(retry_backoff: float, round_index: int) -> None:
-    """Sleep before retry round ``round_index`` (exponential)."""
-    delay = retry_backoff * (2 ** round_index)
-    if delay > 0:
-        time.sleep(delay)
+@contextmanager
+def _round_runner(
+    worker_count: int, spec_count: int, cache: Optional[TraceCache]
+) -> Iterator[Callable]:
+    """Yield the function that executes one round of specs, in order.
+
+    One worker (or at most one spec) maps :func:`execute_spec` in this
+    process under ``cache``; otherwise every round is submitted to one
+    pool that lives across the retry rounds.
+    """
+    if worker_count == 1 or spec_count <= 1:
+        with _cache_installed(cache):
+            yield lambda batch: [execute_spec(spec) for spec in batch]
+        return
+    with ProcessPoolExecutor(
+        max_workers=min(worker_count, spec_count),
+        initializer=set_default_cache,
+        initargs=(cache,),
+    ) as pool:
+
+        def submit(batch: List[RunSpec]):
+            futures = [pool.submit(execute_spec, spec) for spec in batch]
+            return [
+                _result_or_failure(future, spec)
+                for future, spec in zip(futures, batch)
+            ]
+
+        yield submit
 
 
 def run_specs(
@@ -265,7 +324,8 @@ def run_specs(
         specs: Units of work; results come back in the same order.
         workers: Process count; ``1`` runs in-process (no pool, no
             pickling), ``None`` uses every core.
-        cache: Trace cache shared with the workers; defaults to the
+        cache: Trace cache for runs that bring no contact trace, in
+            this process and in the workers alike; defaults to the
             process-wide cache (``REPRO_TRACE_CACHE``).
         max_retries: Extra executions allowed per failing spec (0
             disables retrying).
@@ -287,48 +347,25 @@ def run_specs(
         )
     if cache is None:
         cache = get_default_cache()
-    if worker_count == 1 or len(specs) <= 1:
-        outcomes: List[Union[RunDigest, RunFailure]] = []
-        for spec in specs:
-            attempts = 0
-            while True:
-                attempts += 1
-                outcome = execute_spec(spec)
-                if isinstance(outcome, RunDigest) or attempts > max_retries:
-                    break
-                _backoff(retry_backoff, attempts - 1)
-            outcomes.append(dataclasses.replace(outcome, attempts=attempts))
-        return outcomes
-
-    cache_dir = str(cache.directory) if cache is not None else None
-    attempts_used = [1] * len(specs)
-    with ProcessPoolExecutor(
-        max_workers=min(worker_count, len(specs)),
-        initializer=_worker_initializer,
-        initargs=(cache_dir,),
-    ) as pool:
-        futures = [pool.submit(execute_spec, spec) for spec in specs]
-        outcomes = [
-            _result_or_failure(future, spec)
-            for spec, future in zip(specs, futures)
-        ]
-        for round_index in range(max_retries):
-            failed = [
-                i for i, outcome in enumerate(outcomes)
-                if isinstance(outcome, RunFailure)
+    outcomes: List[Union[RunDigest, RunFailure, None]] = [None] * len(specs)
+    attempts = [0] * len(specs)
+    pending = list(range(len(specs)))
+    with _round_runner(worker_count, len(specs), cache) as run_round:
+        for round_index in range(max_retries + 1):
+            if round_index and retry_backoff > 0:
+                time.sleep(retry_backoff * 2 ** (round_index - 1))
+            batch = run_round([specs[i] for i in pending])
+            for i, outcome in zip(pending, batch):
+                outcomes[i] = outcome
+                attempts[i] += 1
+            pending = [
+                i for i in pending if isinstance(outcomes[i], RunFailure)
             ]
-            if not failed:
+            if not pending:
                 break
-            _backoff(retry_backoff, round_index)
-            retry_futures = {
-                i: pool.submit(execute_spec, specs[i]) for i in failed
-            }
-            for i, future in retry_futures.items():
-                outcomes[i] = _result_or_failure(future, specs[i])
-                attempts_used[i] += 1
     return [
-        dataclasses.replace(outcome, attempts=attempts)
-        for outcome, attempts in zip(outcomes, attempts_used)
+        dataclasses.replace(outcome, attempts=count)
+        for outcome, count in zip(outcomes, attempts)
     ]
 
 
@@ -347,3 +384,83 @@ def ensure_success(
             f"{len(failures)} of {len(outcomes)} runs failed: {details}"
         )
     return list(outcomes)  # type: ignore[arg-type]
+
+
+def _prepared(
+    specs: Sequence[RunSpec], cache: Optional[TraceCache]
+) -> List[RunSpec]:
+    """Give each run its own trace file and build shared traces once.
+
+    A traced run writes to :func:`~repro.trace.derive_trace_path` of its
+    base path (its ``trace_path`` keyword, else its config's), so
+    ``run.jsonl`` becomes ``run.<scheme>.s<seed>.jsonl``.  Runs that
+    would still share a file, such as a sweep's grid points, get
+    ``.p<k>`` before the extension, ``k`` counting them in list order.
+    A contact trace (mobility fields and seed) that two or more runs
+    without a ``trace`` need is built once, through ``cache``, and
+    passed to them; a trace only one run needs is built where that run
+    executes, so pool workers detect such traces in parallel.
+    """
+    from repro.experiments.runner import build_contact_trace
+
+    paths, keys = [], []
+    for spec in specs:
+        base = spec.run_kwargs.get("trace_path") or spec.config.trace_path
+        paths.append(base and derive_trace_path(
+            base, scheme=spec.scheme, seed=spec.seed
+        ))
+        keys.append(
+            None if spec.run_kwargs.get("trace") is not None
+            else trace_cache_key(spec.config, spec.seed)
+        )
+    path_counts, key_counts = Counter(paths), Counter(keys)
+    numbered: Counter = Counter()
+    traces: Dict[str, object] = {}
+    prepared = []
+    for spec, path, key in zip(specs, paths, keys):
+        kwargs = dict(spec.run_kwargs, trace_path=path)
+        if path and path_counts[path] > 1:
+            name = Path(path)
+            kwargs["trace_path"] = str(name.with_name(
+                f"{name.stem}.p{numbered[path]}{name.suffix}"
+            ))
+            numbered[path] += 1
+        if key and key_counts[key] > 1:
+            if key not in traces:
+                traces[key] = build_contact_trace(
+                    spec.config, spec.seed, cache=cache
+                )
+            kwargs["trace"] = traces[key]
+        prepared.append(dataclasses.replace(spec, run_kwargs=kwargs))
+    return prepared
+
+
+def execute_runs(
+    specs: Sequence[RunSpec],
+    *,
+    workers: Optional[int],
+    cache: Optional[TraceCache] = None,
+) -> list:
+    """Run ``specs`` in order: the executor behind every multi-run caller.
+
+    Package-internal: :func:`~repro.experiments.runner.run_comparison`,
+    :func:`~repro.experiments.runner.run_averaged` and
+    :func:`~repro.experiments.sweeps.sweep` (which the fault sweep and
+    the figure generators use) build their run list and hand it here.
+    Both modes take trace files and shared traces from :func:`_prepared`.
+
+    Args:
+        specs: The runs, in the order the results come back.
+        workers: ``1`` runs in this process and returns full
+            :class:`~repro.experiments.runner.RunResult` objects; a run's
+            exception propagates.  Any other value runs the list through
+            :func:`run_specs` and returns :class:`RunDigest` objects,
+            raising :class:`~repro.errors.ExperimentError` if a run still
+            fails after its retries.
+        cache: Trace cache overriding the process default.
+    """
+    specs = _prepared(specs, cache)
+    if workers == 1:
+        with _cache_installed(cache):
+            return [_result_of(spec) for spec in specs]
+    return ensure_success(run_specs(specs, workers=workers, cache=cache))

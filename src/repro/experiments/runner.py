@@ -20,6 +20,7 @@ from repro.agents.roles import RoleHierarchy
 from repro.core.incentive_layer import IncentiveLayer
 from repro.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
+from repro.experiments.parallel import RunSpec, execute_runs
 from repro.experiments.trace_cache import TraceCache, get_default_cache
 from repro.messages.generator import MessageGenerator
 from repro.messages.keywords import KeywordUniverse
@@ -37,7 +38,7 @@ from repro.schemes import resolve_scheme, scheme_names
 from repro.sim.engine import Engine
 from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RandomStreams
-from repro.trace.recorder import JsonlTraceRecorder, derive_trace_path
+from repro.trace.recorder import JsonlTraceRecorder
 
 __all__ = [
     "SCHEMES",
@@ -512,41 +513,16 @@ def run_comparison(
             :class:`~repro.experiments.parallel.RunDigest` objects
             (``mdr``, ``traffic`` and ``summary()`` behave identically).
         trace_cache: Optional trace cache overriding the default.
-        **kwargs: Forwarded to :func:`run_scenario`.
+        **kwargs: Forwarded to :func:`run_scenario`.  A ``trace_path``
+            (or ``config.trace_path``) is a base path: each scheme writes
+            ``<base>.<scheme>.s<seed>.jsonl``.
     """
-    trace = build_contact_trace(config, seed, cache=trace_cache)
-    # One trace file per run: schemes sharing config.trace_path would
-    # clobber each other, so each gets a derived per-scheme path.
-    trace_base = kwargs.pop("trace_path", None)
-    if trace_base is None:
-        trace_base = config.trace_path
-
-    def _path_for(scheme: str) -> Optional[str]:
-        if trace_base is None:
-            return None
-        return derive_trace_path(trace_base, scheme=scheme, seed=seed)
-
-    if workers == 1:
-        return {
-            scheme: run_scenario(
-                config, scheme, seed, trace=trace,
-                trace_path=_path_for(scheme), **kwargs,
-            )
-            for scheme in schemes
-        }
-    from repro.experiments.parallel import RunSpec, ensure_success, run_specs
-
-    specs = [
-        RunSpec(
-            config, scheme, seed,
-            {**kwargs, "trace": trace, "trace_path": _path_for(scheme)},
-        )
-        for scheme in schemes
-    ]
-    digests = ensure_success(
-        run_specs(specs, workers=workers, cache=trace_cache)
+    runs = execute_runs(
+        [RunSpec(config, scheme, seed, kwargs) for scheme in schemes],
+        workers=workers,
+        cache=trace_cache,
     )
-    return dict(zip(schemes, digests))
+    return dict(zip(schemes, runs))
 
 
 def run_averaged(
@@ -560,7 +536,7 @@ def run_averaged(
 ) -> Dict[str, float]:
     """Mean of the headline metrics over repeated seeded runs.
 
-    Both execution paths collect one summary per seed, in seed order,
+    Both execution modes collect one summary per seed, in seed order,
     and average through :func:`~repro.metrics.analysis.merge_summaries`,
     so ``workers=4`` is bit-identical to ``workers=1``.
 
@@ -571,44 +547,15 @@ def run_averaged(
         workers: ``1`` (default) runs in-process; ``None`` uses every
             core; ``N`` fans seeds out over ``N`` worker processes.
         trace_cache: Optional trace cache overriding the default.
-        **kwargs: Forwarded to :func:`run_scenario`.
+        **kwargs: Forwarded to :func:`run_scenario`; a trace path is a
+            base path, as in :func:`run_comparison`.
     """
     seeds = list(seeds)
     if not seeds:
         raise ConfigurationError("seeds must be non-empty")
-    trace_base = kwargs.pop("trace_path", None)
-    if trace_base is None:
-        trace_base = config.trace_path
-
-    def _path_for(seed: int) -> Optional[str]:
-        if trace_base is None:
-            return None
-        return derive_trace_path(trace_base, scheme=scheme, seed=seed)
-
-    if workers == 1:
-        summaries = [
-            run_scenario(
-                config, scheme, seed,
-                trace_path=_path_for(seed), **kwargs,
-            ).summary()
-            for seed in seeds
-        ]
-    else:
-        from repro.experiments.parallel import (
-            RunSpec,
-            ensure_success,
-            run_specs,
-        )
-
-        specs = [
-            RunSpec(
-                config, scheme, seed,
-                {**kwargs, "trace_path": _path_for(seed)},
-            )
-            for seed in seeds
-        ]
-        digests = ensure_success(
-            run_specs(specs, workers=workers, cache=trace_cache)
-        )
-        summaries = [digest.summary() for digest in digests]
-    return merge_summaries(summaries)
+    runs = execute_runs(
+        [RunSpec(config, scheme, seed, kwargs) for seed in seeds],
+        workers=workers,
+        cache=trace_cache,
+    )
+    return merge_summaries([run.summary() for run in runs])

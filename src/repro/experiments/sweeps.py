@@ -6,11 +6,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import (
-    RunResult,
-    build_contact_trace,
-    run_scenario,
-)
+from repro.experiments.parallel import RunSpec, execute_runs
 from repro.experiments.trace_cache import TraceCache
 from repro.schemes import tagged
 
@@ -42,11 +38,16 @@ def sweep(
             In that mode the per-record ``results`` entries are
             :class:`~repro.experiments.parallel.RunDigest` objects
             (``mdr``/``traffic``/``summary()`` behave identically to
-            :class:`RunResult`).
-        trace_cache: Optional trace cache overriding the default; grid
+            :class:`~repro.experiments.runner.RunResult`).
+        trace_cache: Optional trace cache overriding the default.  Grid
             points that only differ in non-mobility fields (selfish
-            fractions, token endowments, ...) share cached traces.
-        **run_kwargs: Forwarded to :func:`run_scenario`.
+            fractions, token endowments, ...) share each seed's contact
+            trace in either case.
+        **run_kwargs: Forwarded to
+            :func:`~repro.experiments.runner.run_scenario`.  A traced
+            config writes one file per run,
+            ``<base>.<scheme>.s<seed>.p<k>.jsonl`` for grid point ``k``
+            (no ``.p<k>`` on a one-point grid).
 
     Returns:
         One record per ``(value, scheme)`` with the seed-averaged MDR
@@ -56,51 +57,21 @@ def sweep(
     if not seeds:
         raise ConfigurationError("seeds must be non-empty")
     values = list(values)
-
-    if workers == 1:
-        grouped: Dict[object, List[RunResult]] = {}
-        for index, value in enumerate(values):
-            config = vary(base, value)
-            point_kwargs = dict(run_kwargs)
-            for scheme in schemes:
-                runs = []
-                for seed in seeds:
-                    if trace_cache is not None and "trace" not in run_kwargs:
-                        point_kwargs["trace"] = build_contact_trace(
-                            config, seed, cache=trace_cache
-                        )
-                    runs.append(
-                        run_scenario(config, scheme, seed, **point_kwargs)
-                    )
-                grouped[(index, scheme)] = runs
-    else:
-        from repro.experiments.parallel import (
-            RunSpec,
-            ensure_success,
-            run_specs,
-        )
-
-        specs = []
-        order = []
-        for index, value in enumerate(values):
-            config = vary(base, value)
-            for scheme in schemes:
-                for seed in seeds:
-                    specs.append(
-                        RunSpec(config, scheme, seed, dict(run_kwargs))
-                    )
-                    order.append((index, scheme))
-        digests = ensure_success(
-            run_specs(specs, workers=workers, cache=trace_cache)
-        )
-        grouped = {}
-        for key, digest in zip(order, digests):
-            grouped.setdefault(key, []).append(digest)
-
+    configs = [vary(base, value) for value in values]
+    runs = iter(execute_runs(
+        [
+            RunSpec(config, scheme, seed, run_kwargs)
+            for config in configs
+            for scheme in schemes
+            for seed in seeds
+        ],
+        workers=workers,
+        cache=trace_cache,
+    ))
     records: List[Dict[str, object]] = []
-    for index, value in enumerate(values):
+    for value in values:
         for scheme in schemes:
-            results = grouped[(index, scheme)]
+            results = [next(runs) for _ in seeds]
             records.append(
                 {
                     "value": value,

@@ -41,6 +41,7 @@ Three fault processes are modelled:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Set
 
@@ -101,9 +102,9 @@ class FaultConfig:
         for name in ("mean_uptime", "mean_downtime", "recharge_interval",
                      "recharge_amount"):
             value = getattr(self, name)
-            if value < 0:
+            if not 0.0 <= value < math.inf:
                 raise ConfigurationError(
-                    f"{name} must be >= 0, got {value!r}"
+                    f"{name} must be finite and >= 0, got {value!r}"
                 )
         if self.mean_uptime > 0 and self.mean_downtime <= 0:
             raise ConfigurationError(

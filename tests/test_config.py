@@ -91,6 +91,7 @@ class TestValidation:
                 "walker", 1.0, selfish_fraction=0.7, malicious_fraction=0.6,
             ),
         )}),
+        ("role_fractions", (0.5, math.nan)),  # NaN slips past `< 0`
     ])
     def test_invalid_field_fails_at_construction(self, field_name, value):
         # Each of these used to construct and then fail inside

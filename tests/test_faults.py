@@ -5,6 +5,8 @@ energy blackouts), bounded retransmission, idempotent settlement, and
 the token-conservation guarantees the robustness sweep asserts.
 """
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -60,6 +62,20 @@ class TestFaultConfig:
             FaultConfig(mean_uptime=-1.0)
         with pytest.raises(ConfigurationError):
             FaultConfig(recharge_interval=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [
+        "mean_uptime", "mean_downtime", "recharge_interval",
+        "recharge_amount",
+    ])
+    def test_non_finite_times_rejected(self, field, value):
+        # NaN slips past a `< 0` test, and a non-finite time either
+        # switches its process off silently or stops the run mid-way on
+        # a non-finite event time.
+        with pytest.raises(
+            ConfigurationError, match=f"^{field} must be finite"
+        ):
+            FaultConfig(**{field: value})
 
     def test_churn_policy_validated(self):
         with pytest.raises(ConfigurationError):

@@ -66,6 +66,24 @@ class TestFig53:
         assert values[-1] >= values[0]
 
 
+class TestWorkers:
+    """The process pool gives the same series as in-process runs."""
+
+    def test_fig5_1_pool_matches_in_process(self, tiny):
+        kwargs = dict(selfish_grid=(0.0, 0.5), seeds=(1,))
+        assert (
+            fig5_1_mdr_vs_selfish(tiny, workers=2, **kwargs).series
+            == fig5_1_mdr_vs_selfish(tiny, workers=1, **kwargs).series
+        )
+
+    def test_fig5_4_pool_matches_in_process(self, tiny):
+        kwargs = dict(malicious_levels=(0.1, 0.3), seeds=(1, 2))
+        assert (
+            fig5_4_malicious_ratings(tiny, workers=2, **kwargs).series
+            == fig5_4_malicious_ratings(tiny, workers=1, **kwargs).series
+        )
+
+
 class TestFig54:
     def test_rating_declines_over_time(self, tiny):
         figure = fig5_4_malicious_ratings(

@@ -51,7 +51,7 @@ class TestParams:
         with pytest.raises(ConfigurationError):
             IncentiveParams(**{field: value})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "5"])
     @pytest.mark.parametrize(
         "field", [spec.name for spec in dataclasses.fields(IncentiveParams)]
     )

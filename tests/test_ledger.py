@@ -36,10 +36,12 @@ class TestAccounts:
         with pytest.raises(ConfigurationError):
             TokenLedger().open_account(1, -1.0)
 
-    @pytest.mark.parametrize("amount", [math.nan, math.inf])
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, "5"])
     def test_non_finite_endowment_rejected(self, amount):
         book = TokenLedger()
-        with pytest.raises(ConfigurationError, match="initial tokens"):
+        with pytest.raises(
+            ConfigurationError, match="^account 1: initial tokens"
+        ):
             book.open_account(1, amount)
         assert not book.has_account(1)
 

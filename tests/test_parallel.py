@@ -13,6 +13,8 @@ from repro.experiments import (
     TraceCache,
     build_contact_trace,
     ensure_success,
+    fault_sweep,
+    fig5_1_mdr_vs_selfish,
     run_averaged,
     run_comparison,
     run_specs,
@@ -22,6 +24,7 @@ from repro.experiments import (
 from repro.experiments.parallel import execute_spec, resolve_workers
 from repro.experiments import runner as runner_module
 from repro.experiments import trace_cache as trace_cache_module
+from repro.trace.audit import replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +132,83 @@ class TestParallelEquivalence:
                 for r in serial] == [
             (r["value"], r["scheme"], r["mdr"], r["traffic"])
             for r in parallel
+        ]
+
+
+def _vary_selfish(cfg, value):
+    return cfg.replace(selfish_fraction=value)
+
+
+@pytest.fixture
+def detections(monkeypatch):
+    """Count contact detections, with no process-wide trace cache."""
+    monkeypatch.setattr(trace_cache_module, "_default_cache", None)
+    calls = []
+    real_detect = runner_module.detect_contacts
+
+    def counting_detect(*args, **kwargs):
+        calls.append(1)
+        return real_detect(*args, **kwargs)
+
+    monkeypatch.setattr(runner_module, "detect_contacts", counting_detect)
+    return calls
+
+
+class TestOneExecutor:
+    """Every multi-run caller runs its list through one executor."""
+
+    def test_run_averaged_in_process_fills_explicit_cache(self, tiny,
+                                                          tmp_path):
+        cache = TraceCache(tmp_path)
+        run_averaged(tiny, "direct", [1], workers=1, trace_cache=cache)
+        assert cache.get(tiny, 1) is not None
+
+    def test_run_specs_in_process_fills_explicit_cache(self, tiny, tmp_path):
+        cache = TraceCache(tmp_path)
+        ensure_success(
+            run_specs([RunSpec(tiny, "direct", 1)], workers=1, cache=cache)
+        )
+        assert cache.get(tiny, 1) is not None
+        # The explicit cache is installed for the call only.
+        assert trace_cache_module.get_default_cache() is not cache
+
+    @pytest.mark.parametrize("call", [
+        lambda cfg: run_comparison(cfg, ["chitchat", "incentive"], seed=1),
+        lambda cfg: sweep(cfg, _vary_selfish, [0.0, 0.5],
+                          schemes=["chitchat", "incentive"], seeds=[1]),
+        lambda cfg: fault_sweep(cfg, loss_levels=(0.0, 0.25),
+                                schemes=("incentive", "chitchat"),
+                                seeds=(1,)),
+        lambda cfg: fig5_1_mdr_vs_selfish(cfg, selfish_grid=(0.0, 0.5),
+                                          seeds=(1,)),
+    ], ids=["run_comparison", "sweep", "fault_sweep", "fig5_1"])
+    def test_shared_trace_detected_once(self, tiny, detections, call):
+        # Four runs over one seed's contacts share one detection.
+        call(tiny)
+        assert len(detections) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_writes_one_trace_file_per_run(self, tiny, tmp_path,
+                                                 workers):
+        traced = tiny.replace(trace_path=str(tmp_path / "sweep.jsonl"))
+        records = sweep(traced, _vary_selfish, [0.0, 0.5],
+                        schemes=["chitchat", "incentive"], seeds=[1],
+                        workers=workers)
+        files = sorted(path.name for path in tmp_path.iterdir())
+        assert files == [
+            f"sweep.{scheme}.s1.p{point}.jsonl"
+            for scheme in ("chitchat", "incentive") for point in (0, 1)
+        ]
+        named = [run.trace_path for r in records for run in r["results"]]
+        assert sorted(named) == sorted(str(tmp_path / f) for f in files)
+        for path in named:
+            assert replay_trace(path).ok
+
+    def test_averaged_runs_keep_their_trace_names(self, tiny, tmp_path):
+        run_averaged(tiny, "direct", [1, 2],
+                     trace_path=str(tmp_path / "run.jsonl"))
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "run.direct.s1.jsonl", "run.direct.s2.jsonl",
         ]
 
 
