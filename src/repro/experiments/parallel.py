@@ -320,6 +320,9 @@ def run_specs(
     are exhausted.  Each outcome records how many executions it took in
     its ``attempts`` field.
 
+    Each traced run writes its own file (see :func:`_with_trace_files`):
+    two runs of one traced config never share a trace file.
+
     Args:
         specs: Units of work; results come back in the same order.
         workers: Process count; ``1`` runs in-process (no pool, no
@@ -335,7 +338,7 @@ def run_specs(
     Returns:
         One :class:`RunDigest` or :class:`RunFailure` per spec.
     """
-    specs = list(specs)
+    specs = _with_trace_files(specs)
     worker_count = resolve_workers(workers)
     if max_retries < 0:
         raise ExperimentError(
@@ -386,16 +389,43 @@ def ensure_success(
     return list(outcomes)  # type: ignore[arg-type]
 
 
-def _prepared(
-    specs: Sequence[RunSpec], cache: Optional[TraceCache]
-) -> List[RunSpec]:
-    """Give each run its own trace file and build shared traces once.
+def _with_trace_files(specs: Sequence[RunSpec]) -> List[RunSpec]:
+    """Give each traced run its own trace file.
 
     A traced run writes to :func:`~repro.trace.derive_trace_path` of its
     base path (its ``trace_path`` keyword, else its config's), so
     ``run.jsonl`` becomes ``run.<scheme>.s<seed>.jsonl``.  Runs that
     would still share a file, such as a sweep's grid points, get
     ``.p<k>`` before the extension, ``k`` counting them in list order.
+    :func:`run_specs` and the executor's in-process mode both name
+    their runs here, and nothing else does, so no name is derived twice.
+    """
+    paths = []
+    for spec in specs:
+        base = spec.run_kwargs.get("trace_path") or spec.config.trace_path
+        paths.append(base and derive_trace_path(
+            base, scheme=spec.scheme, seed=spec.seed
+        ))
+    counts: Counter = Counter(paths)
+    numbered: Counter = Counter()
+    named = []
+    for spec, path in zip(specs, paths):
+        if path and counts[path] > 1:
+            point = numbered[path]
+            numbered[path] += 1
+            name = Path(path)
+            path = str(name.with_name(f"{name.stem}.p{point}{name.suffix}"))
+        named.append(dataclasses.replace(
+            spec, run_kwargs=dict(spec.run_kwargs, trace_path=path)
+        ))
+    return named
+
+
+def _with_shared_traces(
+    specs: Sequence[RunSpec], cache: Optional[TraceCache]
+) -> List[RunSpec]:
+    """Build each contact trace that several runs need once.
+
     A contact trace (mobility fields and seed) that two or more runs
     without a ``trace`` need is built once, through ``cache``, and
     passed to them; a trace only one run needs is built where that run
@@ -403,35 +433,24 @@ def _prepared(
     """
     from repro.experiments.runner import build_contact_trace
 
-    paths, keys = [], []
-    for spec in specs:
-        base = spec.run_kwargs.get("trace_path") or spec.config.trace_path
-        paths.append(base and derive_trace_path(
-            base, scheme=spec.scheme, seed=spec.seed
-        ))
-        keys.append(
-            None if spec.run_kwargs.get("trace") is not None
-            else trace_cache_key(spec.config, spec.seed)
-        )
-    path_counts, key_counts = Counter(paths), Counter(keys)
-    numbered: Counter = Counter()
+    keys = [
+        None if spec.run_kwargs.get("trace") is not None
+        else trace_cache_key(spec.config, spec.seed)
+        for spec in specs
+    ]
+    counts: Counter = Counter(keys)
     traces: Dict[str, object] = {}
     prepared = []
-    for spec, path, key in zip(specs, paths, keys):
-        kwargs = dict(spec.run_kwargs, trace_path=path)
-        if path and path_counts[path] > 1:
-            name = Path(path)
-            kwargs["trace_path"] = str(name.with_name(
-                f"{name.stem}.p{numbered[path]}{name.suffix}"
-            ))
-            numbered[path] += 1
-        if key and key_counts[key] > 1:
+    for spec, key in zip(specs, keys):
+        if key and counts[key] > 1:
             if key not in traces:
                 traces[key] = build_contact_trace(
                     spec.config, spec.seed, cache=cache
                 )
-            kwargs["trace"] = traces[key]
-        prepared.append(dataclasses.replace(spec, run_kwargs=kwargs))
+            spec = dataclasses.replace(
+                spec, run_kwargs=dict(spec.run_kwargs, trace=traces[key])
+            )
+        prepared.append(spec)
     return prepared
 
 
@@ -447,7 +466,8 @@ def execute_runs(
     :func:`~repro.experiments.runner.run_averaged` and
     :func:`~repro.experiments.sweeps.sweep` (which the fault sweep and
     the figure generators use) build their run list and hand it here.
-    Both modes take trace files and shared traces from :func:`_prepared`.
+    Both modes share contact traces through :func:`_with_shared_traces`
+    and name trace files through :func:`_with_trace_files`.
 
     Args:
         specs: The runs, in the order the results come back.
@@ -459,8 +479,8 @@ def execute_runs(
             fails after its retries.
         cache: Trace cache overriding the process default.
     """
-    specs = _prepared(specs, cache)
+    specs = _with_shared_traces(specs, cache)
     if workers == 1:
         with _cache_installed(cache):
-            return [_result_of(spec) for spec in specs]
+            return [_result_of(spec) for spec in _with_trace_files(specs)]
     return ensure_success(run_specs(specs, workers=workers, cache=cache))

@@ -103,8 +103,10 @@ class KeywordUniverse:
             ConfigurationError: If fewer than ``count`` keywords remain
                 after exclusion.
         """
-        excluded = set(exclude)
-        candidates = [kw for kw in self._keywords if kw not in excluded]
+        candidates: Sequence[str] = self._keywords
+        if exclude:
+            excluded = set(exclude)
+            candidates = [kw for kw in candidates if kw not in excluded]
         if count > len(candidates):
             raise ConfigurationError(
                 f"cannot sample {count} keywords from a pool of "
@@ -113,7 +115,8 @@ class KeywordUniverse:
         if count < 0:
             raise ConfigurationError(f"count must be >= 0, got {count}")
         chosen = rng.choice(len(candidates), size=count, replace=False)
-        return [candidates[i] for i in sorted(chosen)]
+        chosen.sort()
+        return [candidates[i] for i in chosen.tolist()]
 
     def sample_interests(
         self, rng: np.random.Generator, count: int = 20

@@ -15,13 +15,13 @@ area, which this detector reproduces directly.
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
 from repro.errors import MobilityError
 from repro.mobility.base import MobilityModel
-from repro.mobility.trace import Contact, ContactTrace
+from repro.mobility.trace import ContactTrace
 
 __all__ = [
     "ContactDetector",
@@ -185,9 +185,10 @@ class ContactDetector:
     """Incremental contact detector over a mobility model.
 
     Call :meth:`scan` at successive times; the detector tracks which
-    pairs are currently in range and emits closed :class:`Contact`
-    intervals as pairs leave range.  :meth:`finish` closes contacts that
-    are still open at the end of the simulation.
+    pairs are currently in range and keeps the intervals each scan
+    closes as arrays.  :meth:`finish` closes contacts that are still
+    open at the end of the simulation and builds the columnar
+    :class:`ContactTrace` from those arrays.
 
     Open-pair state is a pair of parallel arrays — int64 keys packing
     ``(a << 32) | b``, kept sorted, plus each pair's start time — so the
@@ -211,7 +212,10 @@ class ContactDetector:
         )
         self._open_keys: np.ndarray = _EMPTY_IDS
         self._open_starts: np.ndarray = _EMPTY_STARTS
-        self._closed: list = []
+        # Closed contacts, one array per scan that closed any.
+        self._closed_keys: List[np.ndarray] = []
+        self._closed_starts: List[np.ndarray] = []
+        self._closed_ends: List[np.ndarray] = []
         self._last_time: float = float("-inf")
 
     @property
@@ -275,15 +279,10 @@ class ContactDetector:
                 still_open = np.zeros(open_keys.size, dtype=bool)
             gone = ~still_open
             if gone.any():
-                end = float(time)
-                closed = self._closed
-                for key, start in zip(
-                    open_keys[gone].tolist(),
-                    self._open_starts[gone].tolist(),
-                ):
-                    closed.append(
-                        Contact(start, end, key >> 32, key & _PAIR_MASK)
-                    )
+                closed = open_keys[gone]
+                self._closed_keys.append(closed)
+                self._closed_starts.append(self._open_starts[gone])
+                self._closed_ends.append(np.full(closed.size, float(time)))
 
         if keys.size:
             if open_keys.size:
@@ -303,18 +302,26 @@ class ContactDetector:
             self._open_starts = _EMPTY_STARTS
 
     def finish(self, end_time: float) -> ContactTrace:
-        """Close any still-open contacts at ``end_time`` and return the trace."""
-        # Keys are sorted, which is exactly ascending (a, b) pair order.
-        for key, start in zip(
-            self._open_keys.tolist(), self._open_starts.tolist()
-        ):
-            if end_time > start:
-                self._closed.append(
-                    Contact(start, end_time, key >> 32, key & _PAIR_MASK)
-                )
+        """Close any still-open contacts at ``end_time`` and return the trace.
+
+        The trace is built straight from the per-scan arrays of closed
+        keys, starts and ends: no per-contact object is created.
+        """
+        still_open = self._open_starts < end_time
+        self._closed_keys.append(self._open_keys[still_open])
+        self._closed_starts.append(self._open_starts[still_open])
+        self._closed_ends.append(
+            np.full(int(still_open.sum()), float(end_time))
+        )
         self._open_keys = _EMPTY_IDS
         self._open_starts = _EMPTY_STARTS
-        return ContactTrace(self._closed)
+        keys = np.concatenate(self._closed_keys)
+        return ContactTrace.from_columns(
+            np.concatenate(self._closed_starts),
+            np.concatenate(self._closed_ends),
+            keys >> _PAIR_SHIFT,
+            keys & _PAIR_MASK,
+        )
 
 
 def detect_contacts(

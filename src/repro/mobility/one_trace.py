@@ -13,11 +13,12 @@ connections are closed at an explicit ``end_time``.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import MobilityError
-from repro.mobility.trace import Contact, ContactTrace
+from repro.mobility.trace import ContactTrace
 
 __all__ = ["load_one_trace", "save_one_trace"]
 
@@ -50,7 +51,8 @@ def load_one_trace(
     """
     source = Path(path)
     open_since: Dict[Tuple[int, int], float] = {}
-    contacts: List[Contact] = []
+    # Closed contacts as (start, end, a, b) rows, turned into columns.
+    rows: List[Tuple[float, float, int, int]] = []
     last_time = 0.0
     with source.open("r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
@@ -69,6 +71,11 @@ def load_one_trace(
                 raise MobilityError(
                     f"{source}:{line_no}: bad timestamp {fields[0]!r}"
                 ) from exc
+            if not (math.isfinite(time) and time >= 0.0):
+                raise MobilityError(
+                    f"{source}:{line_no}: timestamp must be finite and "
+                    f">= 0, got {fields[0]!r}"
+                )
             host_a = _parse_host(fields[2], source, line_no)
             host_b = _parse_host(fields[3], source, line_no)
             pair = (host_a, host_b) if host_a < host_b else (host_b, host_a)
@@ -89,7 +96,7 @@ def load_one_trace(
                         f"pair {pair}"
                     )
                 if time > started:
-                    contacts.append(Contact(started, time, *pair))
+                    rows.append((started, time, *pair))
             else:
                 raise MobilityError(
                     f"{source}:{line_no}: unknown state {fields[4]!r}"
@@ -97,8 +104,9 @@ def load_one_trace(
     close_at = end_time if end_time is not None else last_time
     for pair, started in sorted(open_since.items()):
         if close_at > started:
-            contacts.append(Contact(started, close_at, *pair))
-    return ContactTrace(contacts)
+            rows.append((started, close_at, *pair))
+    starts, ends, node_a, node_b = zip(*rows) if rows else ((), (), (), ())
+    return ContactTrace.from_columns(starts, ends, node_a, node_b)
 
 
 def save_one_trace(trace: ContactTrace, path: Union[str, Path]) -> None:

@@ -14,13 +14,17 @@ call back into :meth:`send_message`, :meth:`deliver` and
 Per-node scalar state (radio energy, batteries) lives in one
 :class:`~repro.network.world_state.WorldState` of NumPy arrays, and the
 contact trace is loaded as **per-scan-tick batches**: one heap event
-per ``(time, up/down)`` tick instead of one per pair.  The batching is
-exact:
+per ``(time, up/down)`` tick instead of one per pair.  The batches come
+straight from the trace's columns (:meth:`ContactTrace.ticks`: one
+lexsort over the event keys, cut at every change of time or kind), so
+no :class:`~repro.mobility.trace.Contact` object is built between
+detection and the engine.  The batching is exact:
 
-* **Batch order.** ``ContactTrace.events()`` yields events sorted by
-  ``(time, down-before-up, pair)``, so all same-time same-kind events
-  are consecutive.  A tick's batch fires at priority 0 (down) / 1 (up)
-  and runs its pairs in trace order; runtime-scheduled events
+* **Batch order.** A tick holds every event of one ``(time, kind)`` in
+  ``(a, b)`` order, and ticks come in ``(time, down-before-up)``
+  order — the order of the per-pair events ``ContactTrace.events()``
+  flattens them into.  A tick's batch fires at priority 0 (down) / 1
+  (up) and runs its pairs in trace order; runtime-scheduled events
   (transfers, TTL sweeps, churn re-arms) always carry larger sequences
   than every load-time event, so they never split a tick.
 * **RNG order.** Behaviour draws (``contact_enabled``) happen in the
@@ -382,32 +386,19 @@ class World:
     def load_contact_trace(self, trace: ContactTrace) -> None:
         """Schedule the trace as one batch event per ``(time, kind)``.
 
-        See the module docstring for why this fires in exactly the
-        order a per-pair schedule would.  The events go through
-        :meth:`Engine.schedule_many` — one O(n) heapify instead of n
-        pushes.
+        The batches are :meth:`ContactTrace.ticks`, whose pairs are all
+        built before the first event fires; see the module docstring
+        for why they fire in exactly the order a per-pair schedule
+        would.  The events go through :meth:`Engine.schedule_many` —
+        one O(n) heapify instead of n pushes.
         """
         run_up = self._run_up_batch
         run_down = self._run_down_batch
-
-        def batches():
-            current: Optional[Tuple[float, str]] = None
-            pairs: List[Tuple[int, int]] = []
-            for time, kind, pair in trace.events():
-                if (time, kind) != current:
-                    if current is not None:
-                        yield current, pairs
-                    current = (time, kind)
-                    pairs = []
-                pairs.append(pair)
-            if current is not None:
-                yield current, pairs
-
         self.engine.schedule_many(
-            (time, (lambda b=batch: run_up(b)), 1, "contact-up-batch")
+            (time, (lambda b=pairs: run_up(b)), 1, "contact-up-batch")
             if kind == "up"
-            else (time, (lambda b=batch: run_down(b)), 0, "contact-down-batch")
-            for (time, kind), batch in batches()
+            else (time, (lambda b=pairs: run_down(b)), 0, "contact-down-batch")
+            for time, kind, pairs in trace.ticks()
         )
 
     def _run_up_batch(self, batch: List[Tuple[int, int]]) -> None:

@@ -419,14 +419,15 @@ class InterestTable:
             ]
             if ids:
                 last[ids] = now
-        # The updates below run compactly on the present rows only:
-        # tables are sparse at scale (the shared index keeps widening
-        # the arrays while a node holds a few dozen live rows), so
-        # gather → small-array ops → scatter beats masked full-capacity
-        # arithmetic by an order of magnitude.  Each written element
-        # still sees exactly the scalar expression, in the same
-        # operation order — the gather only changes *which* elements
-        # are computed, never *how*.
+        # The updates below run compactly on the present rows only.
+        # Tables are dense (seed 1, mean present rows of 200 per
+        # growth round: 149.5 on city10k, 192.5 on paper; ~199 at run
+        # end), so the gather skips little arithmetic; it keeps the
+        # stale test exact, since absent rows hold dormant ``last``
+        # stamps a full-width ``elapsed > 0`` would count as stale.
+        # Each written element still sees exactly the scalar
+        # expression, in the same operation order — the gather only
+        # changes *which* elements are computed, never *how*.
         rows = self.present_ids()
         weight = self._weight
         elapsed = now - last[rows]

@@ -1,6 +1,9 @@
 """Unit tests for the keyword universe."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.messages.keywords import DEFAULT_THEMES, KeywordUniverse
@@ -81,3 +84,43 @@ class TestSampling:
         a = universe.sample(np.random.default_rng(1), 10)
         b = universe.sample(np.random.default_rng(1), 10)
         assert a == b
+
+
+def reference_sample(universe, rng, count, exclude=()):
+    """``KeywordUniverse.sample`` as it was: a filtered pool copy on
+    every call and a Python sort of the chosen NumPy scalars."""
+    excluded = set(exclude)
+    candidates = [kw for kw in universe.keywords if kw not in excluded]
+    if count > len(candidates):
+        raise ConfigurationError("oversample")
+    if count < 0:
+        raise ConfigurationError("negative count")
+    chosen = rng.choice(len(candidates), size=count, replace=False)
+    return [candidates[i] for i in sorted(chosen)]
+
+
+class TestSampleMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        size=st.integers(min_value=1, max_value=60),
+        data=st.data(),
+    )
+    def test_same_keywords_and_same_draws(self, seed, size, data):
+        universe = KeywordUniverse(size)
+        exclude = data.draw(st.one_of(
+            st.just(()),
+            st.lists(
+                st.sampled_from(universe.keywords + ("not-in-pool",)),
+                max_size=size,
+            ),
+            st.frozensets(st.sampled_from(universe.keywords), max_size=size),
+        ))
+        left = size - len(set(exclude) & set(universe.keywords))
+        count = data.draw(st.integers(min_value=0, max_value=left))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert universe.sample(ours, count, exclude=exclude) == (
+            reference_sample(universe, theirs, count, exclude)
+        )
+        # Both consumed exactly the same draws.
+        assert ours.random() == theirs.random()

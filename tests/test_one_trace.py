@@ -76,6 +76,13 @@ class TestLoad:
         with pytest.raises(MobilityError, match="bad timestamp"):
             load_one_trace(path)
 
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-5.0"])
+    def test_impossible_timestamp_reports_location(self, tmp_path, stamp):
+        path = tmp_path / "conn.txt"
+        path.write_text(f"1.0 CONN 0 1 up\n{stamp} CONN 0 1 down\n")
+        with pytest.raises(MobilityError, match="conn.txt:2: timestamp"):
+            load_one_trace(path)
+
 
 class TestSaveRoundTrip:
     def test_save_then_load_is_identity(self, tmp_path):

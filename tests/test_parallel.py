@@ -204,6 +204,22 @@ class TestOneExecutor:
         for path in named:
             assert replay_trace(path).ok
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_specs_writes_one_trace_file_per_run(self, tiny, tmp_path,
+                                                     workers):
+        traced = tiny.replace(trace_path=str(tmp_path / "run.jsonl"))
+        digests = ensure_success(run_specs(
+            [RunSpec(traced, "direct", 1), RunSpec(traced, "direct", 2)],
+            workers=workers,
+        ))
+        files = ["run.direct.s1.jsonl", "run.direct.s2.jsonl"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == files
+        assert [d.trace_path for d in digests] == [
+            str(tmp_path / name) for name in files
+        ]
+        for digest in digests:
+            assert replay_trace(digest.trace_path).ok
+
     def test_averaged_runs_keep_their_trace_names(self, tiny, tmp_path):
         run_averaged(tiny, "direct", [1, 2],
                      trace_path=str(tmp_path / "run.jsonl"))

@@ -1,5 +1,8 @@
 """Unit tests for contact traces."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import MobilityError
@@ -24,6 +27,18 @@ class TestContact:
     def test_self_contact_rejected(self):
         with pytest.raises(MobilityError):
             Contact(0.0, 1.0, 3, 3)
+
+    @pytest.mark.parametrize("start, end, field", [
+        (math.nan, 1.0, "start"),
+        (0.0, math.nan, "end"),
+        (0.0, math.inf, "end"),
+        (-math.inf, 1.0, "start"),
+        (-5.0, 1.0, "start"),
+    ])
+    def test_impossible_times_rejected_naming_the_field(self, start, end,
+                                                        field):
+        with pytest.raises(MobilityError, match=f"contact {field} must be"):
+            Contact(start, end, 0, 1)
 
 
 class TestContactTrace:
@@ -86,9 +101,41 @@ class TestContactTrace:
         assert [c.pair for c in sub] == [(1, 2)]
 
     def test_indexing(self):
+        # The trace stores columns, so indexing builds an equal view,
+        # not the object that was passed in.
         contact = Contact(0.0, 1.0, 0, 1)
         trace = ContactTrace([contact])
-        assert trace[0] is contact
+        assert trace[0] == contact
+        assert trace[-1] == contact
+        with pytest.raises(IndexError):
+            trace[1]
+
+
+class TestColumnarConstructor:
+    def test_rows_are_sorted_and_pairs_canonical(self):
+        trace = ContactTrace.from_columns(
+            [5.0, 1.0], [6.0, 2.0], [1, 3], [0, 2]
+        )
+        assert [(c.start, c.end, c.pair) for c in trace] == [
+            (1.0, 2.0, (2, 3)), (5.0, 6.0, (0, 1)),
+        ]
+
+    @pytest.mark.parametrize("start, end, field", [
+        (math.nan, 1.0, "start"),
+        (0.0, math.nan, "end"),
+        (0.0, math.inf, "end"),
+        (-5.0, 1.0, "start"),
+    ])
+    def test_impossible_times_rejected_naming_row_and_field(self, start,
+                                                            end, field):
+        with pytest.raises(
+            MobilityError, match=f"contact 1: contact {field} must be"
+        ):
+            ContactTrace.from_columns([0.0, start], [1.0, end], [0, 0], [1, 1])
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(MobilityError, match="equal length"):
+            ContactTrace.from_columns([0.0], [1.0, 2.0], [0], [1])
 
 
 class TestSerialisation:
@@ -115,6 +162,23 @@ class TestSerialisation:
         path = tmp_path / "trace.jsonl"
         path.write_text('{"start": 0.0}\n')
         with pytest.raises(MobilityError, match="trace.jsonl:1"):
+            ContactTrace.load(path)
+
+    @pytest.mark.parametrize("start, end, field", [
+        ("NaN", "1.0", "start"),
+        ("0.0", "Infinity", "end"),
+        ("-5.0", "1.0", "start"),
+    ])
+    def test_impossible_time_names_file_line_and_field(self, tmp_path,
+                                                       start, end, field):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            '{"start": 0.0, "end": 1.0, "a": 0, "b": 1}\n\n'
+            f'{{"start": {start}, "end": {end}, "a": 0, "b": 1}}\n'
+        )
+        with pytest.raises(
+            MobilityError, match=f"trace.jsonl:3: contact {field} must be"
+        ):
             ContactTrace.load(path)
 
 
@@ -155,3 +219,15 @@ class TestNpzSerialisation:
     def test_missing_file_raises_mobility_error(self, tmp_path):
         with pytest.raises(MobilityError):
             ContactTrace.load_npz(tmp_path / "absent.npz")
+
+    def test_impossible_time_names_file_and_field(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        np.savez_compressed(
+            path, starts=np.array([0.0, np.nan]), ends=np.array([1.0, 2.0]),
+            node_a=np.array([0, 0]), node_b=np.array([1, 1]),
+        )
+        with pytest.raises(
+            MobilityError, match="bad.npz: contact 1: contact start must be"
+        ):
+            ContactTrace.load_npz(path)
+
