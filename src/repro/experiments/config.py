@@ -129,12 +129,14 @@ class ScenarioConfig:
     scheme: Optional[str] = None
 
     # Population
-    #: Heterogeneous node classes (see :mod:`repro.population`).  The
-    #: empty tuple — the default — means one class derived from the
-    #: scalar fields above, which therefore remain *validated views
-    #: onto the default class*: every pre-population config, CLI flag
-    #: and sweep keeps working (and stays bit-identical) unchanged.
-    #: Class overrides left as ``None`` inherit the matching scalar.
+    #: Node classes (see :mod:`repro.population`).  The empty tuple —
+    #: the default — means one ``"default"`` class made of the scalar
+    #: fields above, which therefore remain *validated views onto the
+    #: default class*.  Every scenario runs the same per-class code;
+    #: a one-class population draws on the shared RNG streams, so it
+    #: gives exactly the results of the scalars it inherits.  Class
+    #: overrides left as ``None`` inherit the matching scalar; set
+    #: ones apply whether the population has one class or several.
     population: Tuple[NodeClassSpec, ...] = ()
 
     def __post_init__(self) -> None:

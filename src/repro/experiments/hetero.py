@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, TraceError
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import RunResult, build_contact_trace, run_scenario
+from repro.experiments.parallel import RunSpec, execute_runs
 from repro.trace.audit import replay_trace
 
 __all__ = ["HETERO_SCHEMES", "hetero_sweep", "breakdown_rows"]
@@ -45,10 +45,12 @@ def hetero_sweep(
             resolve to more than one class.
         schemes: Schemes to compare on identical contacts.
         seeds: Seeds to run per scheme.
-        trace_dir: Directory for the JSONL event traces (a temporary
-            directory per run when omitted and ``audit`` is on).
+        trace_dir: Directory for the JSONL event traces, one file per
+            run, ``hetero.<scheme>.s<seed>.jsonl`` (a temporary
+            directory when omitted and ``audit`` is on).
         audit: Replay every trace through the conservation auditor and
-            attach the verdict; any violation raises.
+            attach the verdict; any violation raises.  A seed's runs
+            are audited before the next seed's start.
 
     Returns:
         One record per ``(scheme, seed)``:
@@ -75,43 +77,45 @@ def hetero_sweep(
         raise ConfigurationError("seeds must be non-empty")
 
     records: List[Dict[str, object]] = []
-    for seed in seeds:
-        # One contact trace per seed, shared by every scheme: the
-        # comparison is on identical contacts, like the paper's figures.
-        contacts = build_contact_trace(base, seed)
-        for scheme in schemes:
-            with tempfile.TemporaryDirectory() as scratch:
-                directory = trace_dir if trace_dir is not None else scratch
-                trace_path = None
-                if audit or trace_dir is not None:
-                    trace_path = os.path.join(
-                        directory, f"hetero-{scheme}-seed{seed}.jsonl"
-                    )
-                result = run_scenario(
-                    base, scheme, seed,
-                    trace=contacts,
-                    trace_path=trace_path,
-                )
+    with tempfile.TemporaryDirectory() as scratch:
+        trace_path = None
+        if audit or trace_dir is not None:
+            directory = trace_dir if trace_dir is not None else scratch
+            trace_path = os.path.join(directory, "hetero.jsonl")
+        # One executor call per seed: its schemes share the seed's one
+        # contact trace, like the paper's figures, and each run writes
+        # its own trace file.  Auditing a seed before the next starts
+        # keeps one seed's contacts in memory and fails on the first
+        # violation.
+        for seed in seeds:
+            results = execute_runs(
+                [
+                    RunSpec(base, scheme, seed, {"trace_path": trace_path})
+                    for scheme in schemes
+                ],
+                workers=1,
+            )
+            for result in results:
                 audit_ok = None
-                if audit and trace_path is not None:
-                    verdict = replay_trace(trace_path)
+                if audit and result.trace_path is not None:
+                    verdict = replay_trace(result.trace_path)
                     if not verdict.ok:
                         raise TraceError(
-                            f"{scheme} seed {seed}: trace audit found "
-                            f"{len(verdict.violations)} violation(s); "
-                            f"first: {verdict.violations[0]}"
+                            f"{result.scheme} seed {result.seed}: trace "
+                            f"audit found {len(verdict.violations)} "
+                            f"violation(s); first: {verdict.violations[0]}"
                         )
                     audit_ok = True
-            records.append(
-                {
-                    "scheme": scheme,
-                    "seed": seed,
-                    "result": result,
-                    "summary": result.summary(),
-                    "per_class": result.class_breakdown(),
-                    "audit_ok": audit_ok,
-                }
-            )
+                records.append(
+                    {
+                        "scheme": result.scheme,
+                        "seed": result.seed,
+                        "result": result,
+                        "summary": result.summary(),
+                        "per_class": result.class_breakdown(),
+                        "audit_ok": audit_ok,
+                    }
+                )
     return records
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.agents.behaviors import assign_behaviors
 from repro.agents.roles import RoleHierarchy
 from repro.core.incentive_layer import IncentiveLayer
@@ -32,7 +30,7 @@ from repro.mobility.trace import ContactTrace
 from repro.network.buffer import DropPolicy
 from repro.network.node import Node
 from repro.network.world import World
-from repro.population import PopulationMap
+from repro.population import PopulationMap, stream_name
 from repro.routing.base import Router
 from repro.schemes import resolve_scheme, scheme_names
 from repro.sim.engine import Engine
@@ -69,8 +67,8 @@ class RunResult:
     honest_ids: Set[int] = field(default_factory=set)
     #: Where this run's event trace was written (None when untraced).
     trace_path: Optional[str] = None
-    #: ``{node_id: class name}`` for heterogeneous populations
-    #: (``None`` on homogeneous runs, keeping legacy results identical).
+    #: ``{node_id: class name}`` for populations of several classes
+    #: (``None`` on one-class runs, keeping their results' shape).
     node_classes: Optional[Dict[int, str]] = None
 
     @property
@@ -168,7 +166,8 @@ def build_contact_trace(
 
     Args:
         config: The scenario (only its mobility-relevant fields matter).
-        seed: Master seed; the trace uses the ``"mobility"`` stream.
+        seed: Master seed; each class moves on its ``mobility`` stream
+            (:func:`~repro.population.stream_name`).
         cache: A :class:`~repro.experiments.trace_cache.TraceCache` to
             consult before detecting contacts (and to populate after).
             Defaults to the process-wide cache configured via
@@ -181,33 +180,15 @@ def build_contact_trace(
         cached = cache.get(config, seed)
         if cached is not None:
             return cached
-    resolved = config.resolved_population()
-    if len(resolved) > 1:
-        # Heterogeneous population: per-class mobility sub-models on
-        # dedicated streams, detection under per-node radii.
-        streams = RandomStreams(seed)
-        population = PopulationMap.build(config, streams)
-        model = make_population_model(config, streams, population)
-        trace = detect_contacts(
-            model,
-            radius=config.transmission_radius,
-            duration=config.duration,
-            scan_interval=config.scan_interval,
-            radii=population.radii,
-        )
-    else:
-        cls0 = resolved[0]
-        streams = RandomStreams(seed)
-        population = PopulationMap(
-            resolved, np.zeros(config.n_nodes, dtype=np.int64)
-        )
-        model = make_population_model(config, streams, population)
-        trace = detect_contacts(
-            model,
-            radius=cls0.transmission_radius,
-            duration=config.duration,
-            scan_interval=config.scan_interval,
-        )
+    streams = RandomStreams(seed)
+    population = PopulationMap.build(config, streams)
+    trace = detect_contacts(
+        make_population_model(config, streams, population),
+        radius=config.transmission_radius,
+        duration=config.duration,
+        scan_interval=config.scan_interval,
+        radii=population.radii,
+    )
     if cache is not None:
         cache.put(config, seed, trace)
     return trace
@@ -236,72 +217,49 @@ def _build_population(
 ) -> Tuple[List[Node], Dict[int, object]]:
     """Build the node objects and behaviour assignment for one run.
 
-    With a single-class (default) population this is exactly the legacy
-    construction — interests on the shared ``"interests"`` stream,
-    behaviours on ``"behavior-assignment"`` — consuming the same draws
-    in the same order (the bit-identity guarantee).  A heterogeneous
-    population samples each class on its own ``interests:{name}`` /
-    ``behavior-assignment:{name}`` streams over its members in
-    ascending id order, so classes never perturb one another; roles
-    stay global (the hierarchy is an organisational overlay, not a
-    device property).
+    Each class samples its members' behaviours and interests, in
+    ascending id order, from its own streams
+    (:func:`~repro.population.stream_name`): a one-class population
+    draws on the shared ``"behavior-assignment"`` and ``"interests"``
+    streams, and several classes never perturb one another.  Roles stay
+    global (the hierarchy is an organisational overlay, not a device
+    property).
     """
     if population is None:
         population = PopulationMap.build(config, streams)
+    classes = population.classes
     hierarchy = RoleHierarchy(config.role_levels, config.role_fractions)
     ranks = hierarchy.assign(range(config.n_nodes), streams.get("roles"))
-    if not population.heterogeneous:
-        cls0 = population.classes[0]
-        behaviors = assign_behaviors(
-            range(config.n_nodes),
-            streams.get("behavior-assignment"),
-            selfish_fraction=cls0.selfish_fraction,
-            malicious_fraction=cls0.malicious_fraction,
-            participation_probability=config.participation_probability,
-            low_quality_probability=config.low_quality_probability,
-        )
-        nodes = [
-            Node(
-                node_id,
-                universe.sample_interests(
-                    streams.get("interests"), cls0.interests_per_node
-                ),
-                role=ranks[node_id],
-                buffer_capacity=cls0.buffer_capacity,
-                drop_policy=drop_policy,
-                behavior=behaviors[node_id],
-            )
-            for node_id in range(config.n_nodes)
-        ]
-        return nodes, behaviors
     behaviors: Dict[int, object] = {}
-    interests: Dict[int, object] = {}
-    for index, cls in enumerate(population.classes):
+    interests: List[object] = [None] * config.n_nodes
+    for index, cls in enumerate(classes):
         members = population.members(index).tolist()
         if not members:
             continue
         behaviors.update(
             assign_behaviors(
                 members,
-                streams.get(f"behavior-assignment:{cls.name}"),
+                streams.get(stream_name("behavior-assignment", cls, classes)),
                 selfish_fraction=cls.selfish_fraction,
                 malicious_fraction=cls.malicious_fraction,
                 participation_probability=config.participation_probability,
                 low_quality_probability=config.low_quality_probability,
             )
         )
-        interest_rng = streams.get(f"interests:{cls.name}")
+        interest_rng = streams.get(stream_name("interests", cls, classes))
         for node_id in members:
             interests[node_id] = universe.sample_interests(
                 interest_rng, cls.interests_per_node
             )
-    buffer_caps = population.buffer_capacities
+    # One capacity object per class, shared by its nodes.
+    capacities = [cls.buffer_capacity for cls in classes]
+    class_of = population.class_id.tolist()
     nodes = [
         Node(
             node_id,
             interests[node_id],
             role=ranks[node_id],
-            buffer_capacity=int(buffer_caps[node_id]),
+            buffer_capacity=capacities[class_of[node_id]],
             drop_policy=drop_policy,
             behavior=behaviors[node_id],
         )
@@ -362,8 +320,6 @@ def run_scenario(
     try:
         streams = RandomStreams(seed)
         universe = KeywordUniverse(config.keyword_pool)
-        # Class assignment draws nothing for single-class populations,
-        # so building the map here leaves every legacy stream untouched.
         population = PopulationMap.build(config, streams)
         # Under the incentive schemes, custody of a high-priority
         # message is worth more tokens, so rational nodes evict
@@ -375,27 +331,12 @@ def run_scenario(
         )
         router = spec.builder(config, universe)
         engine = Engine()
-        # Single-class scalars come from the resolved class (identical
-        # to the config scalars unless the one class carries overrides);
-        # heterogeneous worlds read the per-node arrays instead and the
-        # scalars are only fallbacks.
-        cls0 = population.classes[0]
-        hetero = population.heterogeneous
         world = World(
             engine,
             nodes,
             router,
-            link_speed=config.link_speed if hetero else cls0.link_speed,
             streams=streams,
             ttl=config.ttl,
-            nominal_distance=(
-                config.transmission_radius if hetero
-                else cls0.transmission_radius
-            ),
-            battery_capacity=(
-                config.battery_capacity if hetero
-                else cls0.battery_capacity
-            ),
             resume_partial_transfers=config.resume_partial_transfers,
             faults=config.faults,
             trace=recorder,
@@ -450,7 +391,7 @@ def run_scenario(
                 "type": "run-end", "t": world.now,
                 "events": engine.events_fired,
             }
-            if hetero:
+            if population.heterogeneous:
                 end["node_classes"] = {
                     str(node_id): name
                     for node_id, name in population.names_by_node().items()
@@ -488,7 +429,9 @@ def run_scenario(
         trace_path=(
             str(recorder.path) if recorder is not None else None
         ),
-        node_classes=population.names_by_node() if hetero else None,
+        node_classes=(
+            population.names_by_node() if population.heterogeneous else None
+        ),
     )
 
 

@@ -1,18 +1,17 @@
-"""Per-class composite mobility for heterogeneous populations.
+"""Per-class composite mobility for node populations.
 
 Each node class gets its own sub-model (its own kind, speed/pause
-ranges and a dedicated ``mobility:{name}`` RNG stream); the composite
-scatters the sub-models' positions into one global ``(n, 2)`` array
-after every advance, so contact detection and the world see a single
-homogeneous interface.
+ranges and RNG stream, see :func:`repro.population.stream_name`); the
+composite scatters the sub-models' positions into one global ``(n, 2)``
+array after every advance, so contact detection and the world see a
+single interface.
 
-Stream discipline: a single-class population never reaches this module
-— :func:`make_population_model` falls through to the legacy
-:func:`make_model` on the shared ``"mobility"``
-stream, keeping legacy runs bit-identical.  With several classes, each
-sub-model draws only from its class's stream, so editing one class's
-mobility leaves every other class's trajectory untouched (the
-isolation property pinned by ``tests/test_population.py``).
+Stream discipline: a one-class population's sub-model draws from the
+shared ``"mobility"`` stream, so it is the scalar scenario's model.
+With several classes, each sub-model draws only from its class's
+stream, so editing one class's mobility leaves every other class's
+trajectory untouched (the isolation property pinned by
+``tests/test_population.py``).
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from repro.mobility.manhattan import ManhattanGrid
 from repro.mobility.random_walk import RandomWalk
 from repro.mobility.random_waypoint import RandomWaypoint
 from repro.mobility.stationary import Stationary
+from repro.population import stream_name
 
 __all__ = ["CompositePopulationModel", "make_model", "make_population_model"]
 
@@ -101,47 +101,36 @@ class CompositePopulationModel(MobilityModel):
 def make_population_model(
     config, streams, population
 ) -> MobilityModel:
-    """Mobility for a resolved population (legacy path when single-class).
+    """Mobility for a resolved population: one sub-model per class.
+
+    When one class holds every node its sub-model is returned as is:
+    wrapping it would only copy every position after each advance.
 
     Args:
         config: The :class:`~repro.experiments.config.ScenarioConfig`.
         streams: The run's :class:`~repro.sim.rng.RandomStreams`.
         population: The run's :class:`~repro.population.PopulationMap`.
     """
-    if not population.heterogeneous:
-        # Single class: the legacy construction path on the shared
-        # "mobility" stream.  The resolved class carries the config
-        # scalars whenever no override is set, so a default population
-        # is bit-identical to the pre-population builder; a single
-        # class *with* overrides gets them honoured here too.
-        cls = population.classes[0]
-        return make_model(
-            cls.mobility,
-            config.n_nodes,
-            config.area,
-            streams.get("mobility"),
-            speed_range=cls.speed_range,
-            pause_range=cls.pause_range,
-            manhattan_block=config.manhattan_block,
-        )
     submodels: List[MobilityModel] = []
     members: List[np.ndarray] = []
     for index, cls in enumerate(population.classes):
         member_ids = population.members(index)
         if member_ids.size == 0:
             # A fraction small enough to round to zero seats: nothing
-            # to place, and the class's dedicated stream stays untouched.
+            # to place, and the class's stream stays untouched.
             continue
         submodels.append(
             make_model(
                 cls.mobility,
                 int(member_ids.size),
                 config.area,
-                streams.get(f"mobility:{cls.name}"),
+                streams.get(stream_name("mobility", cls, population.classes)),
                 speed_range=cls.speed_range,
                 pause_range=cls.pause_range,
                 manhattan_block=config.manhattan_block,
             )
         )
         members.append(member_ids)
+    if len(submodels) == 1:
+        return submodels[0]
     return CompositePopulationModel(config.area, submodels, members)

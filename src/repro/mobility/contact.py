@@ -197,19 +197,24 @@ class ContactDetector:
 
     Args:
         radius: Uniform transmission radius in metres.
-        radii: Optional per-node radii for heterogeneous populations;
-            when given, :meth:`scan` searches via :func:`hetero_pairs`
-            (``dist <= max(r_a, r_b)`` per pair) and ``radius`` is
-            ignored for detection.
+        radii: Optional per-node radii (a population's); when given,
+            they replace ``radius``.  Mixed radii are searched via
+            :func:`hetero_pairs` (``dist <= max(r_a, r_b)`` per pair);
+            when every node has the same radius that test is the cell
+            list's own, so :meth:`scan` runs the scalar search at it.
     """
 
     def __init__(self, radius: float, *, radii: "np.ndarray | None" = None):
+        if radii is not None:
+            radii = np.asarray(radii, dtype=np.float64)
+            if radii.size and radii.min() == radii.max():
+                # Decided once here, not per scan: the per-pair filter
+                # would only re-test the cell list's pairs.
+                radius, radii = float(radii[0]), None
         if radius <= 0:
             raise MobilityError(f"radius must be > 0, got {radius!r}")
         self._radius = float(radius)
-        self._radii = (
-            np.asarray(radii, dtype=np.float64) if radii is not None else None
-        )
+        self._radii = radii
         self._open_keys: np.ndarray = _EMPTY_IDS
         self._open_starts: np.ndarray = _EMPTY_STARTS
         # Closed contacts, one array per scan that closed any.
@@ -341,8 +346,7 @@ def detect_contacts(
         scan_interval: Position sampling period in seconds.  Contacts
             shorter than this can be missed — the same discretisation the
             ONE simulator applies with its update interval.
-        radii: Optional per-node radii for heterogeneous populations
-            (see :class:`ContactDetector`).
+        radii: Optional per-node radii (see :class:`ContactDetector`).
 
     Returns:
         The detected :class:`ContactTrace`.

@@ -55,6 +55,7 @@ from repro.network.energy import EnergyModel
 from repro.network.link import Link, Transfer
 from repro.network.node import Node
 from repro.network.world_state import WorldState
+from repro.population import DEFAULT_CLASS
 from repro.sim.engine import Engine
 from repro.sim.process import PeriodicProcess
 from repro.sim.rng import RandomStreams
@@ -64,6 +65,19 @@ __all__ = ["World"]
 
 #: Shared empty result for :meth:`World.open_links` on unknown nodes.
 _NO_LINKS: List[Link] = []
+
+
+def _unknown_ids(known: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Mask of the ``ids`` missing from the sorted unique ``known``."""
+    if not known.size:
+        return np.ones(ids.size, dtype=bool)
+    if known[-1] - known[0] == known.size - 1:
+        # A contiguous id range (the runner's): a bounds test suffices.
+        # The search costs hetero_audit's trace load 11 ms on a 2-vCPU
+        # Xeon, slower in 16 of 16 pairs (BENCH_one_population.json).
+        return (ids < known[0]) | (ids > known[-1])
+    slot = np.minimum(np.searchsorted(known, ids), known.size - 1)
+    return known[slot] != ids
 
 
 class World:
@@ -105,13 +119,15 @@ class World:
             router's ``bind``) the ledger and reputation layers.  The
             default no-op recorder keeps untraced runs bit-identical
             and nearly free.
-        population: Optional :class:`~repro.population.PopulationMap`
-            for heterogeneous node classes.  When heterogeneous, links
-            run at the *slower* endpoint's class link speed over the
-            *larger* endpoint's class radius (energy distance), and
-            per-class battery capacities/recharge amounts replace the
-            scalars.  ``None`` or a single-class map is bit-identical
-            to the scalar path.
+        population: The run's :class:`~repro.population.PopulationMap`
+            (node ids ``0..n-1``), one class or several.  When given,
+            it replaces ``link_speed``, ``nominal_distance`` and
+            ``battery_capacity``: a link runs at the *slower*
+            endpoint's class link speed over the *larger* endpoint's
+            class radius (energy distance), and batteries, recharge
+            amounts and :meth:`node_class` come from each node's
+            class.  ``None`` (hand-built worlds) puts every node in one
+            ``"default"`` class made of those scalar arguments.
     """
 
     def __init__(
@@ -153,33 +169,39 @@ class World:
                 )
             self._nodes[node.node_id] = node
         self.router = router
-        self.link_speed = float(link_speed)
         self.streams = streams if streams is not None else RandomStreams(0)
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.energy = energy if energy is not None else EnergyModel()
         self.ttl = ttl
-        self.nominal_distance = float(nominal_distance)
-        self.battery_capacity = battery_capacity
-        # Per-node class arrays (node ids are the runner's dense
-        # 0..n-1 range whenever a population is threaded through, so
-        # slot order == node-id order and the arrays line up).
-        self.population = (
-            population
-            if population is not None and population.heterogeneous else None
+        self.population = population
+        if population is None:
+            self._class_of = dict.fromkeys(self._nodes, 0)
+            self._class_names = [DEFAULT_CLASS]
+            radios = [(float(link_speed), float(nominal_distance))]
+            capacities = battery_capacity
+        else:
+            # Node ids are the dense 0..n-1 range, so slot order is
+            # node-id order and a list maps id -> class index.
+            self._class_of = population.class_id.tolist()
+            self._class_names = [c.name for c in population.classes]
+            radios = [
+                (c.link_speed, c.transmission_radius)
+                for c in population.classes
+            ]
+            capacities = population.battery_capacities
+        # (speed, distance) per class pair: the slower radio bottlenecks
+        # the transfer, and energy is billed at the larger radius (the
+        # conservative stand-in for the unknown contact distance).
+        self._link_params = [
+            [(min(speed_a, speed_b), max(radius_a, radius_b))
+             for speed_b, radius_b in radios]
+            for speed_a, radius_a in radios
+        ]
+        # Only a mix stamps classes on its trace records (schema v2).
+        self._trace_classes = (
+            population is not None and population.heterogeneous
         )
-        self._pop_link_speed = (
-            self.population.link_speeds if self.population else None
-        )
-        self._pop_radius = self.population.radii if self.population else None
-        pop_caps = (
-            self.population.battery_capacities if self.population else None
-        )
-        self.state = WorldState(
-            list(self._nodes),
-            battery_capacity=(
-                pop_caps if pop_caps is not None else battery_capacity
-            ),
-        )
+        self.state = WorldState(list(self._nodes), battery_capacity=capacities)
         self.energy.attach(self.state)
         self._build_interest_matrix()
 
@@ -248,11 +270,9 @@ class World:
         return sorted(self._nodes)
 
     def node_class(self, node_id: int) -> str:
-        """Population class name of ``node_id`` (``"default"`` when
-        the world runs a homogeneous population)."""
-        if self.population is None:
-            return "default"
-        return self.population.name_of(node_id)
+        """Population class name of ``node_id`` (``"default"`` on a
+        world built without a population)."""
+        return self._class_names[self._class_of[node_id]]
 
     def nodes(self) -> List[Node]:
         """All nodes, sorted by id."""
@@ -347,10 +367,8 @@ class World:
                 "type": "delivery", "t": self.now, "uuid": message.uuid,
                 "node": receiver.node_id, "first": first,
             }
-            if self.population is not None:
-                record["node_class"] = self.population.name_of(
-                    receiver.node_id
-                )
+            if self._trace_classes:
+                record["node_class"] = self.node_class(receiver.node_id)
             self.trace.emit(record)
         return first
 
@@ -391,7 +409,22 @@ class World:
         for why they fire in exactly the order a per-pair schedule
         would.  The events go through :meth:`Engine.schedule_many` —
         one O(n) heapify instead of n pushes.
+
+        Raises:
+            ConfigurationError: When a contact names a node this world
+                does not have, naming the first such id.
         """
+        known = np.sort(self.state.node_ids)
+        unknown_a = _unknown_ids(known, trace.a)
+        unknown_b = _unknown_ids(known, trace.b)
+        unknown = unknown_a | unknown_b
+        if unknown.any():
+            row = int(unknown.argmax())
+            node = trace.a[row] if unknown_a[row] else trace.b[row]
+            raise ConfigurationError(
+                f"contact {row} names node {int(node)}, but the world has "
+                f"{known.size} nodes"
+            )
         run_up = self._run_up_batch
         run_down = self._run_down_batch
         self.engine.schedule_many(
@@ -534,14 +567,12 @@ class World:
     def _admit_contact(self, pair: Tuple[int, int]) -> bool:
         """The admission half of a contact-up event.
 
-        Runs every check — node existence, duplicate live link, and the
-        behaviour gates (which consume the behaviour RNG stream) — but
-        creates nothing, so a tick's pairs can all be admitted before
-        any of them opens.
+        Runs every check — duplicate live link and the behaviour gates
+        (which consume the behaviour RNG stream) — but creates nothing,
+        so a tick's pairs can all be admitted before any of them opens.
+        Both nodes exist: :meth:`load_contact_trace` checked the ids.
         """
         a, b = pair
-        if a not in self._nodes or b not in self._nodes:
-            return False
         if self._links.get(pair) is not None and not self._links[pair].closed:
             return False
         # A selfish node's radio is usually off: the contact only forms
@@ -558,16 +589,8 @@ class World:
         fault_hook = None
         if self.faults is not None and self.faults.config.lossy:
             fault_hook = self.faults.transfer_verdict
-        speed = self.link_speed
-        distance = self.nominal_distance
-        if self._pop_link_speed is not None:
-            # Heterogeneous endpoints: the slower radio bottlenecks the
-            # transfer; energy is billed at the larger class radius (the
-            # same conservative stand-in as the scalar nominal distance).
-            speed = float(
-                min(self._pop_link_speed[a], self._pop_link_speed[b])
-            )
-            distance = float(max(self._pop_radius[a], self._pop_radius[b]))
+        class_of = self._class_of
+        speed, distance = self._link_params[class_of[a]][class_of[b]]
         link = Link(
             self.engine, a, b,
             speed=speed, distance=distance,
@@ -666,8 +689,8 @@ class World:
     def _recharge(self, now: float) -> None:
         if self.state.battery is None or self.faults is None:
             return
-        # Heterogeneous populations recharge with a per-node amount
-        # array (slot order == node-id order).
+        # A population recharges with a per-node amount array (slot
+        # order == node-id order).
         amount = self.faults.config.recharge_amount
         if self.population is not None:
             amount = self.population.recharge_amounts(amount)

@@ -5,30 +5,34 @@ but the incentive literature it sits in is about *heterogeneous* DTNs:
 El-Azouzi et al. tune rewards per node class (arXiv:1704.02948) and
 Chahin et al.'s minority-game activation presumes classes that differ
 in cost and capability (arXiv:1207.6760).  This module is the single
-source of truth for that heterogeneity:
+source of truth for that heterogeneity.  Every scenario is a
+population: the homogeneous one is the one-class case and takes the
+same code path as a mix.
 
 * :class:`NodeClassSpec` — a declarative per-class override bundle
   (speed/pause, mobility kind, radio radius and link speed, buffer,
   battery and recharge, interests, behaviour mix, reward multiplier).
   ``ScenarioConfig.population`` is a tuple of these; the empty tuple
-  (the default) means "one class derived from the legacy scalars".
+  (the default) means one ``"default"`` class made of the scalars.
 * :func:`resolve_population` — fills every unset override from the
   config's scalar fields, so the scalars remain *validated views onto
   the default class* and every pre-population config keeps working.
+* :func:`stream_name` — the one rule that depends on the class count:
+  which RNG stream a class draws from.  One class draws from the shared
+  ``mobility``, ``interests`` and ``behavior-assignment`` streams, so a
+  single-class scenario gets the draws of the scalars it resolves to;
+  several classes draw from ``{stream}:{class name}``.
 * :func:`assign_classes` — deterministic membership.  Class sizes come
-  from largest-remainder apportionment of the fractions (no RNG); each
-  class then draws its members from the remaining pool on its **own**
-  named stream ``population:{name}``.  A single-class population skips
-  the draw entirely and consumes **zero** RNG — the bit-identity
-  guarantee for legacy configs — and because streams are keyed by
-  class *name* (derived from the master seed only, independent of
-  creation order; see :mod:`repro.sim.rng`), editing one class never
-  perturbs the draws of classes listed before it.
-* :class:`PopulationMap` — the resolved per-node arrays (class id,
-  radius, link speed, buffer, battery, recharge) every lower layer
-  consumes: the world's :class:`~repro.network.world_state.WorldState`,
-  the contact detector's per-node radii, the world's per-link speed
-  and the incentive layer's per-class award multipliers.
+  from largest-remainder apportionment of the fractions (no RNG); every
+  class but the last then draws its members from the remaining pool
+  (so one class draws nothing).  Because streams are keyed by class
+  *name* (derived from the master seed only, independent of creation
+  order; see :mod:`repro.sim.rng`), editing one class never perturbs
+  the draws of classes listed before it.
+* :class:`PopulationMap` — the resolved classes and each node's class,
+  which every lower layer reads: the contact detector's per-node radii,
+  the world's per-class link speed, radius, battery and recharge, and
+  the runner's per-class buffers, interests and behaviour mix.
 * The ``pedestrian`` / ``vehicular`` / ``infrastructure`` preset
   catalog and :func:`mixed_population`, the 3-class mix used by
   ``repro-dtn hetero`` and the CI hetero-smoke job.
@@ -54,7 +58,7 @@ __all__ = [
     "resolve_population",
     "assign_classes",
     "class_counts",
-    "population_stream_names",
+    "stream_name",
     "PRESET_CLASSES",
     "mixed_population",
     "preset_rows",
@@ -91,12 +95,11 @@ class NodeClassSpec:
 
     Every override defaults to ``None`` meaning "inherit the scenario's
     scalar field" — a population of ``(NodeClassSpec("default", 1.0),)``
-    is therefore exactly the legacy homogeneous scenario.
+    is therefore exactly the scenario with no population set.
 
     Attributes:
-        name: Class name; also keys the class's dedicated RNG streams
-            (``population:{name}``, ``mobility:{name}``,
-            ``interests:{name}``, ``behavior-assignment:{name}``).
+        name: Class name; in a population of several classes it also
+            keys the class's RNG streams (see :func:`stream_name`).
         fraction: Share of the population in ``[0, 1]``; all fractions
             in a population must sum to 1.  Integer class sizes come
             from largest-remainder apportionment (ties to the earlier
@@ -212,7 +215,7 @@ def resolve_population(config) -> Tuple[ResolvedClass, ...]:
     """Fill every unset class override from ``config``'s scalar fields.
 
     An empty ``config.population`` resolves to one ``"default"`` class
-    carrying exactly the scalars — the legacy homogeneous scenario.
+    carrying exactly the scalars.
     """
     specs: Sequence[NodeClassSpec] = config.population or (
         NodeClassSpec(DEFAULT_CLASS, 1.0),
@@ -261,19 +264,17 @@ def class_counts(n_nodes: int, fractions: Sequence[float]) -> List[int]:
     return counts
 
 
-def population_stream_names(classes: Sequence[ResolvedClass]) -> List[str]:
-    """The dedicated stream names a heterogeneous population consumes."""
-    names: List[str] = []
-    for cls in classes:
-        names.extend(
-            (
-                f"population:{cls.name}",
-                f"mobility:{cls.name}",
-                f"interests:{cls.name}",
-                f"behavior-assignment:{cls.name}",
-            )
-        )
-    return names
+def stream_name(
+    stream: str, cls: ResolvedClass, classes: Sequence[ResolvedClass]
+) -> str:
+    """The RNG stream ``cls`` draws ``stream`` from within ``classes``.
+
+    A lone class draws from the shared stream itself, so a one-class
+    population consumes exactly the draws of the scalar scenario it
+    resolves to.  With several classes each class draws from its own
+    ``{stream}:{class name}`` stream.
+    """
+    return stream if len(classes) == 1 else f"{stream}:{cls.name}"
 
 
 def assign_classes(
@@ -281,22 +282,19 @@ def assign_classes(
 ) -> np.ndarray:
     """Per-node class index array, deterministic given ``(seed, classes)``.
 
-    A single class assigns everyone to index 0 **without touching any
-    RNG stream** — the legacy bit-identity guarantee.  With several
-    classes, each class except the last draws its members from the
-    sorted remaining pool on its own ``population:{name}`` stream; the
-    last class takes the remainder without drawing.  Because streams
-    are derived from the master seed by *name*, the draws of a class
-    are untouched by edits to classes listed after it — the isolation
-    property pinned by ``tests/test_population.py``.
+    Each class except the last draws its members from the sorted
+    remaining pool on its ``population`` stream (:func:`stream_name`);
+    the last class takes the remainder without drawing, so a single
+    class consumes no RNG at all.  Because streams are derived from the
+    master seed by *name*, the draws of a class are untouched by edits
+    to classes listed after it — the isolation property pinned by
+    ``tests/test_population.py``.
     """
-    if len(classes) == 1:
-        return np.zeros(n_nodes, dtype=np.int64)
     counts = class_counts(n_nodes, [c.fraction for c in classes])
     class_id = np.empty(n_nodes, dtype=np.int64)
     pool = np.arange(n_nodes, dtype=np.int64)
     for index, cls in enumerate(classes[:-1]):
-        rng = streams.get(f"population:{cls.name}")
+        rng = streams.get(stream_name("population", cls, classes))
         picks = rng.choice(pool.size, size=counts[index], replace=False)
         picks.sort()
         class_id[pool[picks]] = index
@@ -329,7 +327,7 @@ class PopulationMap:
 
     @property
     def heterogeneous(self) -> bool:
-        """More than one class — the gate for every hetero code path."""
+        """More than one class: the runs that report per-node classes."""
         return len(self.classes) > 1
 
     def name_of(self, node_id: int) -> str:
@@ -348,26 +346,13 @@ class PopulationMap:
             for node_id, cid in enumerate(self.class_id.tolist())
         }
 
-    def _gather(self, field_name: str, dtype) -> np.ndarray:
-        values = np.array(
-            [getattr(c, field_name) for c in self.classes], dtype=dtype
-        )
-        return values[self.class_id]
-
     @property
     def radii(self) -> np.ndarray:
         """Per-node transmission radius in metres."""
-        return self._gather("transmission_radius", np.float64)
-
-    @property
-    def link_speeds(self) -> np.ndarray:
-        """Per-node link speed in bytes/second."""
-        return self._gather("link_speed", np.float64)
-
-    @property
-    def buffer_capacities(self) -> np.ndarray:
-        """Per-node buffer capacity in bytes."""
-        return self._gather("buffer_capacity", np.int64)
+        values = np.array(
+            [c.transmission_radius for c in self.classes], dtype=np.float64
+        )
+        return values[self.class_id]
 
     @property
     def battery_capacities(self) -> Optional[np.ndarray]:
@@ -448,7 +433,7 @@ def spec_as_dict(spec: NodeClassSpec) -> Dict[str, object]:
 #: The three-class catalog backing ``repro-dtn hetero`` and the docs
 #: preset table.  ``pedestrian`` carries no overrides: it *is* the
 #: paper's Table 5.1 population, so an all-pedestrian mix is exactly
-#: the legacy scenario.  Reward multipliers follow the El-Azouzi
+#: the scalar scenario.  Reward multipliers follow the El-Azouzi
 #: class-tuned-reward argument: the more capable (cheaper-per-delivery)
 #: a class, the smaller the award needed to keep it participating.
 PRESET_CLASSES: Dict[str, NodeClassSpec] = {

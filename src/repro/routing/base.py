@@ -113,9 +113,9 @@ class Router(abc.ABC):
     def node_class(self, node_id: int) -> str:
         """Population class name of ``node_id``.
 
-        ``"default"`` on homogeneous worlds, on worlds without
-        population support, and before binding — so class-aware
-        schemes degrade gracefully everywhere.
+        ``"default"`` on worlds built without a population, on worlds
+        without population support, and before binding — so
+        class-aware schemes degrade gracefully everywhere.
         """
         if self._world is None:
             return "default"

@@ -9,9 +9,12 @@ Pins the contracts DESIGN.md §11 promises:
   single class consumes **zero** RNG and editing one class never
   perturbs the draws of classes listed before it (stream isolation);
 * the heterogeneous contact detector matches brute force under the
-  ``max(r_a, r_b)`` semantics and degrades to the scalar cell list;
-* a single-class population is **bit-identical** to the legacy scalar
-  scenario (the golden parity gate the CI hetero-smoke job runs);
+  ``max(r_a, r_b)`` semantics, and uniform radii take the scalar cell
+  list;
+* a single-class population is **bit-identical** to the scenario with
+  no population set (the golden parity gate the CI hetero-smoke job
+  runs, and a hypothesis property over the scenario space), and a lone
+  class's overrides apply as they do in a mix;
 * the 3-class preset sweep runs every class-aware scheme with a clean
   conservation audit and per-class breakdowns.
 """
@@ -20,11 +23,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, MobilityError
 from repro.experiments.config import ScenarioConfig
+from repro.faults import FaultConfig
+from repro.messages.keywords import KeywordUniverse
 from repro.mobility.contact import hetero_pairs, pair_arrays
 from repro.population import (
     NodeClassSpec,
@@ -33,13 +38,15 @@ from repro.population import (
     assign_classes,
     class_counts,
     mixed_population,
-    population_stream_names,
     preset_rows,
     resolve_population,
+    stream_name,
     validate_population,
 )
 from repro.routing.minority_game import MinorityGameChitChat
+from repro.schemes import scheme_names
 from repro.sim.rng import RandomStreams
+from repro.trace import iter_trace
 
 
 def three_classes(fractions=(0.5, 0.3, 0.2), names=("a", "b", "c")):
@@ -250,12 +257,20 @@ class TestAssignment:
 
     def test_stream_names_are_per_class(self):
         classes = resolve_population(ScenarioConfig.hetero())
-        names = population_stream_names(classes)
-        assert "population:vehicular" in names
-        assert "mobility:infrastructure" in names
-        assert "interests:pedestrian" in names
-        assert "behavior-assignment:vehicular" in names
-        assert len(names) == 4 * len(classes)
+        for cls in classes:
+            for stream in ("population", "mobility", "behavior-assignment"):
+                assert (
+                    stream_name(stream, cls, classes)
+                    == f"{stream}:{cls.name}"
+                )
+        (lone,) = resolve_population(
+            ScenarioConfig.tiny(population=(NodeClassSpec("solo", 1.0),))
+        )
+        assert stream_name("mobility", lone, [lone]) == "mobility"
+        assert (
+            stream_name("behavior-assignment", lone, [lone])
+            == "behavior-assignment"
+        )
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -316,8 +331,6 @@ class TestPopulationMap:
         for node_id in range(50):
             cls = classes[int(pop.class_id[node_id])]
             assert pop.radii[node_id] == cls.transmission_radius
-            assert pop.link_speeds[node_id] == cls.link_speed
-            assert pop.buffer_capacities[node_id] == cls.buffer_capacity
             assert pop.name_of(node_id) == cls.name
 
     def test_members_partition_the_nodes(self):
@@ -413,6 +426,24 @@ class TestHeteroPairs:
             zip(scalar_a.tolist(), scalar_b.tolist())
         )
 
+    def test_uniform_radii_take_the_scalar_search(self, monkeypatch):
+        import repro.mobility.contact as contact
+
+        rng = np.random.default_rng(5)
+        frames = rng.uniform(0.0, 400.0, size=(4, 60, 2))
+
+        def refuse(positions, radii):
+            raise AssertionError("uniform radii reached the per-pair filter")
+
+        monkeypatch.setattr(contact, "hetero_pairs", refuse)
+        uniform = contact.ContactDetector(1.0, radii=np.full(60, 75.0))
+        scalar = contact.ContactDetector(75.0)
+        for time, positions in enumerate(frames):
+            uniform.scan(float(time), positions)
+            scalar.scan(float(time), positions)
+            assert uniform.open_pairs == scalar.open_pairs
+        assert uniform.radius == 75.0
+
     def test_stronger_radio_carries_the_pair(self):
         positions = np.array([[0.0, 0.0], [100.0, 0.0]])
         # Only one endpoint reaches 100 m — still a contact.
@@ -457,6 +488,199 @@ class TestSingleClassGoldenParity:
         before = run_scenario(legacy, "chitchat", seed=2).summary()
         after = run_scenario(single, "chitchat", seed=2).summary()
         assert before == after
+
+
+# ----------------------------------------------------------------------
+# One class is the one-class case of the class code: overrides apply
+# ----------------------------------------------------------------------
+class TestOneClassOverrides:
+    def run(self, config, scheme="incentive", seed=1, **kwargs):
+        from repro.experiments.runner import run_scenario
+
+        return run_scenario(config, scheme, seed, **kwargs)
+
+    def test_reward_multiplier_scales_delivery_awards(self):
+        def moved(multiplier):
+            config = ScenarioConfig.tiny(population=(
+                NodeClassSpec("cheap", 1.0, reward_multiplier=multiplier),
+            ))
+            result = self.run(config, "incentive-chitchat-hetero")
+            return result.metrics.tokens_moved
+
+        assert moved(0.5) < 0.6 * moved(1.0)
+
+    def test_recharge_amount_replaces_the_fault_config_amount(self):
+        def run(recharge_amount, class_amount):
+            return self.run(ScenarioConfig.tiny(
+                battery_capacity=3.0,
+                faults=FaultConfig(
+                    recharge_interval=300.0, recharge_amount=recharge_amount
+                ),
+                population=(NodeClassSpec(
+                    "solar", 1.0, recharge_amount=class_amount
+                ),),
+            ))
+
+        overridden = run(0.5, 50.0)
+        reference = run(50.0, None)
+        assert overridden.summary() == reference.summary()
+        assert overridden.fault_summary() == reference.fault_summary()
+        assert overridden.summary() != run(0.5, None).summary()
+
+    def test_router_names_a_lone_class(self):
+        config = ScenarioConfig.tiny(population=(NodeClassSpec("solo", 1.0),))
+        result = self.run(config)
+        assert result.router.node_class(0) == "solo"
+        assert result.node_classes is None
+
+    def test_one_class_trace_carries_no_class_fields(self, tmp_path):
+        config = ScenarioConfig.tiny(population=(NodeClassSpec("solo", 1.0),))
+        path = tmp_path / "solo.jsonl"
+        result = self.run(config, trace_path=str(path))
+        records = list(iter_trace(path))
+        deliveries = [r for r in records if r["type"] == "delivery"]
+        assert deliveries
+        assert {result.router.node_class(r["node"]) for r in deliveries} == {
+            "solo"
+        }
+        assert not any("node_class" in r for r in deliveries)
+        assert "node_classes" not in records[-1]
+
+
+class TestWorldReadsClasses:
+    """Buffers and links take each node's class values in a mix."""
+
+    def test_buffers_come_from_each_nodes_class(self):
+        from repro.experiments.runner import _build_population
+
+        config = ScenarioConfig.hetero(n_nodes=30)
+        streams = RandomStreams(1)
+        pop = PopulationMap.build(config, streams)
+        nodes, _ = _build_population(
+            config, streams, KeywordUniverse(config.keyword_pool),
+            population=pop,
+        )
+        for node in nodes:
+            cls = pop.classes[int(pop.class_id[node.node_id])]
+            assert node.buffer.capacity == cls.buffer_capacity
+
+    def test_mixed_link_runs_at_the_slower_speed_over_the_larger_radius(self):
+        from repro.network.node import Node
+        from repro.network.world import World
+        from repro.routing.epidemic import EpidemicRouter
+        from repro.sim.engine import Engine
+
+        config = ScenarioConfig.small(n_nodes=4, population=(
+            NodeClassSpec("slow", 0.5, link_speed=1_000.0,
+                          transmission_radius=50.0),
+            NodeClassSpec("fast", 0.5, link_speed=9_000.0,
+                          transmission_radius=200.0),
+        ))
+        pop = PopulationMap.build(config, RandomStreams(0))
+        world = World(
+            Engine(), [Node(i, []) for i in range(4)], EpidemicRouter(),
+            population=pop,
+        )
+        slow, fast = (pop.members(i).tolist() for i in range(2))
+        for a, b, speed, distance in (
+            (*slow, 1_000.0, 50.0),
+            (*fast, 9_000.0, 200.0),
+            (slow[0], fast[0], 1_000.0, 200.0),
+        ):
+            pair = (min(a, b), max(a, b))
+            world._open_contact(pair)
+            link = world.link_between(*pair)
+            assert (link.speed, link.distance) == (speed, distance)
+            assert world.node_class(a) == pop.name_of(a)
+
+
+def _same(one, other):
+    """Dict equality that counts NaN equal to NaN."""
+    return one.keys() == other.keys() and all(
+        one[k] == other[k] or (one[k] != one[k] and other[k] != other[k])
+        for k in one
+    )
+
+
+@st.composite
+def _scenario_draws(draw):
+    battery = draw(st.none() | st.floats(1.0, 20.0))
+    return dict(
+        name=draw(st.text("abcdefghijklmnopqrstuvwxyz-", min_size=1, max_size=8)),
+        scheme=draw(st.sampled_from(scheme_names())),
+        duration=draw(st.sampled_from([300.0, 600.0, 900.0])),
+        mobility=draw(st.sampled_from(
+            ["random-waypoint", "random-walk", "manhattan", "static"]
+        )),
+        transmission_radius=draw(st.floats(30.0, 150.0)),
+        link_speed=draw(st.floats(50_000.0, 1_000_000.0)),
+        buffer_capacity=draw(st.integers(2_000_000, 20_000_000)),
+        battery_capacity=battery,
+        recharge=draw(st.none() | st.tuples(
+            st.floats(60.0, 600.0), st.floats(0.1, 20.0)
+        )),
+        selfish_fraction=draw(st.floats(0.0, 0.5)),
+        malicious_fraction=draw(st.floats(0.0, 0.5)),
+        interests_per_node=draw(st.integers(1, 30)),
+    )
+
+
+_CLASS_FIELDS = (
+    "mobility", "transmission_radius", "link_speed", "buffer_capacity",
+    "battery_capacity", "selfish_fraction", "malicious_fraction",
+    "interests_per_node",
+)
+
+
+class TestScalarPopulationParity:
+    """A run with no population set equals the explicit one-class one.
+
+    The drawn values sit first in the scalars, then in one class of any
+    name inheriting them, then in that class's overrides (the recharge
+    amount too, with the fault config carrying another); all three
+    runs must give equal summaries and fault summaries.
+    """
+
+    @given(draws=_scenario_draws())
+    @settings(max_examples=50, deadline=None)
+    @example(draws=dict(
+        name="solar", scheme="incentive", duration=900.0,
+        mobility="random-waypoint", transmission_radius=100.0,
+        link_speed=250_000.0, buffer_capacity=10_000_000,
+        battery_capacity=3.0, recharge=(300.0, 50.0),
+        selfish_fraction=0.0, malicious_fraction=0.0, interests_per_node=6,
+    ))
+    def test_scalars_equal_one_class_equal_overrides(self, draws):
+        from repro.experiments.runner import run_scenario
+
+        def faults(amount):
+            if draws["recharge"] is None:
+                return None
+            return FaultConfig(
+                recharge_interval=draws["recharge"][0], recharge_amount=amount
+            )
+
+        amount = draws["recharge"][1] if draws["recharge"] else None
+        scalar = ScenarioConfig.tiny(
+            duration=draws["duration"], faults=faults(amount),
+            **{name: draws[name] for name in _CLASS_FIELDS},
+        )
+        named = scalar.replace(population=(NodeClassSpec(draws["name"], 1.0),))
+        moved = ScenarioConfig.tiny(
+            duration=draws["duration"],
+            faults=faults(amount and amount / 100),
+            population=(NodeClassSpec(
+                draws["name"], 1.0, recharge_amount=amount,
+                **{name: draws[name] for name in _CLASS_FIELDS},
+            ),),
+        )
+        runs = [
+            run_scenario(config, draws["scheme"], 1)
+            for config in (scalar, named, moved)
+        ]
+        for run in runs[1:]:
+            assert _same(run.summary(), runs[0].summary())
+            assert _same(run.fault_summary(), runs[0].fault_summary())
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,32 @@ class TestContacts:
         assert world.metrics.transfers_completed == 0
         assert message.uuid not in world.node(1).delivered
 
+    def test_contact_naming_an_unknown_node_fails_at_load(self):
+        world = _world()
+        with pytest.raises(ConfigurationError, match=(
+            r"contact 1 names node 7, but the world has 2 nodes"
+        )):
+            world.load_contact_trace(trace_of(
+                contact(10.0, 50.0, 0, 1), contact(20.0, 50.0, 1, 7)
+            ))
+
+    def test_sparse_node_ids_are_checked_by_membership(self):
+        world = _world({1: [], 3: [], 5: []})
+        world.load_contact_trace(trace_of(contact(10.0, 50.0, 3, 5)))
+        with pytest.raises(ConfigurationError, match="names node 2,"):
+            world.load_contact_trace(trace_of(contact(10.0, 50.0, 1, 2)))
+
+    def test_run_rejects_a_trace_beyond_the_population(self):
+        from repro.experiments import ScenarioConfig, run_scenario
+
+        with pytest.raises(ConfigurationError, match=(
+            r"names node 25, but the world has 20 nodes"
+        )):
+            run_scenario(
+                ScenarioConfig.tiny(), "incentive", 1,
+                trace=trace_of(contact(1.0, 50.0, 0, 25)),
+            )
+
     def test_contact_down_without_up_is_harmless(self):
         world = _world()
         world.engine.schedule_at(5.0, lambda: world._contact_down((0, 1)))
