@@ -4,7 +4,9 @@
 record (its first 64 bits, which keeps the file near 2 MB) for a grid
 of scenarios: 3 mobility models x 3 schemes x
 {no fault, fault}, a retransmission run, a battery-blackout run, the
-heterogeneous preset, a 500-node Table 5.1 run and a few tiny runs.
+heterogeneous preset, a 500-node Table 5.1 run, a few tiny runs, and
+the incentive layer over Epidemic, PRoPHET and Spray-and-Wait on the
+tiny config, fault-free and under wipe churn plus loss.
 The file was generated when the simulator still carried two world cores
 (a per-object reference and the struct-of-arrays core), and generation
 asserted that both cores gave identical digests, so it carries the
@@ -45,6 +47,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "trace_digests.json"
 
 MOBILITY_MODELS = ("random-waypoint", "random-walk", "manhattan")
 SCHEMES = ("incentive", "chitchat", "epidemic")
+#: The incentive layer over the flood and predictability substrates.
+COMPOSITIONS = (
+    "incentive-epidemic", "incentive-prophet", "incentive-spray-and-wait",
+)
 
 #: Hex characters kept of each record's sha256.
 DIGEST_CHARS = 16
@@ -99,6 +105,17 @@ def grid() -> Dict[str, Tuple[object, str, int]]:
         cases[f"tiny/{scheme}/seed-5"] = (ScenarioConfig.tiny(), scheme, 5)
     cases["tiny/incentive/seed-2"] = (ScenarioConfig.tiny(), "incentive", 2)
     cases["tiny/incentive/seed-1"] = (ScenarioConfig.tiny(), "incentive", 1)
+    # Wipe churn fast enough to cut many live links, plus loss.
+    churn_loss = FaultConfig(
+        loss_probability=0.1, mean_uptime=600.0, mean_downtime=120.0,
+    )
+    for scheme in COMPOSITIONS:
+        for label, fault_config in (
+            ("no-fault", None), ("churn-loss", churn_loss),
+        ):
+            cases[f"tiny/{scheme}/{label}"] = (
+                ScenarioConfig.tiny(faults=fault_config), scheme, 11,
+            )
     return cases
 
 
@@ -264,6 +281,12 @@ class TestDifferentialMatrix:
     @pytest.mark.parametrize("case", ("hetero", "hetero-battery"))
     def test_heterogeneous_bit_identical(self, case):
         assert_matches_golden(case)
+
+    @pytest.mark.parametrize("scheme", COMPOSITIONS)
+    @pytest.mark.parametrize("faults", ("no-fault", "churn-loss"))
+    def test_compositions_bit_identical(self, scheme, faults):
+        """The incentive layer over substrates other than ChitChat."""
+        assert_matches_golden(f"tiny/{scheme}/{faults}")
 
 
 class TestDifferentialEventTrace:
