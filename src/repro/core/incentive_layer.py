@@ -581,10 +581,6 @@ class IncentiveLayer(Router):
     # across the tick's pairs, then hands the batch to the substrate
     # for the decay phase (offers still run per pair from
     # on_contact_start, through the payment pipeline unchanged).
-    @property
-    def supports_contact_batching(self) -> bool:
-        return self.substrate.supports_contact_batching
-
     def prepare_contact_batch(self, pairs) -> None:
         # The tick's gossip is planned in grouped rounds; each pair's
         # exchange in _exchange then runs at its per-pair point.

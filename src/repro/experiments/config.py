@@ -166,11 +166,19 @@ class ScenarioConfig:
                     f"{range_field} must satisfy 0 <= min <= max, got "
                     f"{(lo, hi)!r}"
                 )
+        for radio_field in ("transmission_radius", "link_speed"):
+            # inf runs silently wrong: 0-s, 0-J transfers (speed), an
+            # MDR of 0 with no energy spent (radius).
+            value = getattr(self, radio_field)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(
+                    f"{radio_field} must be finite and > 0, got {value!r}"
+                )
         for positive_field in (
             "duration", "message_interval", "scan_interval",
-            "transmission_radius", "link_speed", "buffer_capacity",
-            "manhattan_block", "chitchat_beta", "chitchat_growth_scale",
-            "retransmit_backoff", "ttl", "battery_capacity",
+            "buffer_capacity", "manhattan_block", "chitchat_beta",
+            "chitchat_growth_scale", "retransmit_backoff", "ttl",
+            "battery_capacity",
         ):
             value = getattr(self, positive_field)
             # ttl and battery_capacity are optional (None = off).

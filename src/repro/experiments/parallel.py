@@ -303,22 +303,27 @@ def _round_runner(
         yield submit
 
 
+#: Extra executions :func:`run_specs` allows a failing spec.
+MAX_RETRIES = 2
+#: Sleep before :func:`run_specs`' first retry, seconds; doubles each
+#: further round.
+RETRY_BACKOFF = 0.5
+
+
 def run_specs(
     specs: Sequence[RunSpec],
     *,
     workers: Optional[int] = None,
     cache: Optional[TraceCache] = None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.5,
 ) -> List[Union[RunDigest, RunFailure]]:
     """Execute ``specs``, preserving order, optionally in parallel.
 
-    Failed specs are retried up to ``max_retries`` times with
-    exponential backoff — transient breakage (a worker killed by the
-    OOM killer, a torn cache entry) heals on a clean re-run, while a
-    deterministic bug simply fails again and is reported once retries
-    are exhausted.  Each outcome records how many executions it took in
-    its ``attempts`` field.
+    Failed specs are retried up to :data:`MAX_RETRIES` times with
+    exponential backoff from :data:`RETRY_BACKOFF` — transient
+    breakage (a worker killed by the OOM killer, a torn cache entry)
+    heals on a clean re-run, while a deterministic bug simply fails
+    again and is reported once retries are exhausted.  Each outcome
+    records how many executions it took in its ``attempts`` field.
 
     Each traced run writes its own file (see :func:`_with_trace_files`):
     two runs of one traced config never share a trace file.
@@ -330,33 +335,21 @@ def run_specs(
         cache: Trace cache for runs that bring no contact trace, in
             this process and in the workers alike; defaults to the
             process-wide cache (``REPRO_TRACE_CACHE``).
-        max_retries: Extra executions allowed per failing spec (0
-            disables retrying).
-        retry_backoff: Base sleep before the first retry, seconds;
-            doubles each round.  ``0`` retries immediately (tests).
 
     Returns:
         One :class:`RunDigest` or :class:`RunFailure` per spec.
     """
     specs = _with_trace_files(specs)
     worker_count = resolve_workers(workers)
-    if max_retries < 0:
-        raise ExperimentError(
-            f"max_retries must be >= 0, got {max_retries!r}"
-        )
-    if retry_backoff < 0:
-        raise ExperimentError(
-            f"retry_backoff must be >= 0, got {retry_backoff!r}"
-        )
     if cache is None:
         cache = get_default_cache()
     outcomes: List[Union[RunDigest, RunFailure, None]] = [None] * len(specs)
     attempts = [0] * len(specs)
     pending = list(range(len(specs)))
     with _round_runner(worker_count, len(specs), cache) as run_round:
-        for round_index in range(max_retries + 1):
-            if round_index and retry_backoff > 0:
-                time.sleep(retry_backoff * 2 ** (round_index - 1))
+        for round_index in range(MAX_RETRIES + 1):
+            if round_index:
+                time.sleep(RETRY_BACKOFF * 2 ** (round_index - 1))
             batch = run_round([specs[i] for i in pending])
             for i, outcome in zip(pending, batch):
                 outcomes[i] = outcome

@@ -133,17 +133,13 @@ class EnergyModel:
         state = self._state
         if state is None:
             raise ConfigurationError("energy model is not attached to a world")
-        state.energy[state.slot_of(node)] += joules
+        state.energy[node] += joules
 
     def consumed(self, node: int) -> float:
-        """Total joules charged to ``node`` so far."""
-        if self._state is None:
+        """Total joules charged to ``node`` so far (0 for unknown ids)."""
+        if self._state is None or not 0 <= node < self._state.n:
             return 0.0
-        try:
-            slot = self._state.slot_of(node)
-        except ConfigurationError:
-            return 0.0
-        return float(self._state.energy[slot])
+        return float(self._state.energy[node])
 
     def total_consumed(self) -> float:
         """Total joules charged across all nodes."""

@@ -12,13 +12,15 @@ call back into :meth:`send_message`, :meth:`deliver` and
 :meth:`accept_relay`; see :class:`repro.routing.base.Router`.
 
 Per-node scalar state (radio energy, batteries) lives in one
-:class:`~repro.network.world_state.WorldState` of NumPy arrays, and the
-contact trace is loaded as **per-scan-tick batches**: one heap event
-per ``(time, up/down)`` tick instead of one per pair.  The batches come
+:class:`~repro.network.world_state.WorldState` of NumPy arrays indexed
+by node id: a world's ids are exactly ``0..n-1``.  The contact trace
+is loaded as **per-scan-tick batches**: one heap event per
+``(time, up/down)`` tick instead of one per pair.  The batches come
 straight from the trace's columns (:meth:`ContactTrace.ticks`: one
 lexsort over the event keys, cut at every change of time or kind), so
 no :class:`~repro.mobility.trace.Contact` object is built between
-detection and the engine.  The batching is exact:
+detection and the engine.  Every router takes the same two tick
+handlers, and the batching is exact:
 
 * **Batch order.** A tick holds every event of one ``(time, kind)`` in
   ``(a, b)`` order, and ticks come in ``(time, down-before-up)``
@@ -27,6 +29,17 @@ detection and the engine.  The batching is exact:
   (up) and runs its pairs in trace order; runtime-scheduled events
   (transfers, TTL sweeps, churn re-arms) always carry larger sequences
   than every load-time event, so they never split a tick.
+* **Hook order.** An up tick admits all its pairs, hands them to
+  ``prepare_contact_batch``, then opens them one by one
+  (``on_contact_start``); a down tick closes its links, then hands them
+  to ``contact_end_batch``.  The base hooks do nothing before the opens
+  and replay ``on_contact_end`` per link, which is exactly a per-pair
+  loop: transfers and ratings settle at later engine events, and no
+  contact hook draws the behaviour stream or drains a battery.
+* **One close site.** Churn crashes and battery blackouts close a
+  node's links the way a down tick does (:meth:`World._close_contact`
+  per link, then one ``contact_end_batch``), so the link maps only
+  ever hold open links.
 * **RNG order.** Behaviour draws (``contact_enabled``) happen in the
   per-pair admission check, in trace order, so the behaviour stream is
   consumed exactly as a per-pair loop would.  Admission is deliberately
@@ -41,6 +54,7 @@ record by record.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -67,25 +81,13 @@ __all__ = ["World"]
 _NO_LINKS: List[Link] = []
 
 
-def _unknown_ids(known: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Mask of the ``ids`` missing from the sorted unique ``known``."""
-    if not known.size:
-        return np.ones(ids.size, dtype=bool)
-    if known[-1] - known[0] == known.size - 1:
-        # A contiguous id range (the runner's): a bounds test suffices.
-        # The search costs hetero_audit's trace load 11 ms on a 2-vCPU
-        # Xeon, slower in 16 of 16 pairs (BENCH_one_population.json).
-        return (ids < known[0]) | (ids > known[-1])
-    slot = np.minimum(np.searchsorted(known, ids), known.size - 1)
-    return known[slot] != ids
-
-
 class World:
     """Wires nodes, contacts, transfers and a router into one simulation.
 
     Args:
         engine: The discrete-event engine driving the run.
-        nodes: The node population (ids must be unique).
+        nodes: The node population, in any order.  Its ids must be
+            exactly ``0..n-1``: they index the per-node arrays.
         router: The routing protocol under test.
         link_speed: Transfer speed in bytes/second (Table 5.1: 250 kBps).
         streams: Named RNG streams (behaviour draws, workload, ...).
@@ -149,8 +151,15 @@ class World:
         trace: Optional[TraceRecorder] = None,
         population=None,
     ):
-        if link_speed <= 0:
-            raise ConfigurationError(f"link_speed must be > 0, got {link_speed!r}")
+        if not (link_speed > 0 and math.isfinite(link_speed)):
+            raise ConfigurationError(
+                f"link_speed must be finite and > 0, got {link_speed!r}"
+            )
+        if not (nominal_distance >= 0 and math.isfinite(nominal_distance)):
+            raise ConfigurationError(
+                f"nominal_distance must be finite and >= 0, "
+                f"got {nominal_distance!r}"
+            )
         if ttl is not None and ttl <= 0:
             raise ConfigurationError(f"ttl must be > 0, got {ttl!r}")
         if battery_capacity is not None and battery_capacity <= 0:
@@ -168,6 +177,13 @@ class World:
                     f"duplicate node id {node.node_id}"
                 )
             self._nodes[node.node_id] = node
+        n = len(self._nodes)
+        missing = next((i for i in range(n) if i not in self._nodes), None)
+        if missing is not None:
+            raise ConfigurationError(
+                f"node ids must be exactly 0..{n - 1}, but id {missing} "
+                f"is missing"
+            )
         self.router = router
         self.streams = streams if streams is not None else RandomStreams(0)
         self.metrics = metrics if metrics is not None else MetricsCollector()
@@ -175,13 +191,11 @@ class World:
         self.ttl = ttl
         self.population = population
         if population is None:
-            self._class_of = dict.fromkeys(self._nodes, 0)
+            self._class_of = [0] * n
             self._class_names = [DEFAULT_CLASS]
             radios = [(float(link_speed), float(nominal_distance))]
             capacities = battery_capacity
         else:
-            # Node ids are the dense 0..n-1 range, so slot order is
-            # node-id order and a list maps id -> class index.
             self._class_of = population.class_id.tolist()
             self._class_names = [c.name for c in population.classes]
             radios = [
@@ -201,7 +215,7 @@ class World:
         self._trace_classes = (
             population is not None and population.heterogeneous
         )
-        self.state = WorldState(list(self._nodes), battery_capacity=capacities)
+        self.state = WorldState(n, battery_capacity=capacities)
         self.energy.attach(self.state)
         self._build_interest_matrix()
 
@@ -279,27 +293,23 @@ class World:
         return [self._nodes[i] for i in self.node_ids()]
 
     def active_links(self, node_id: int) -> List[Link]:
-        """Open links ``node_id`` currently participates in."""
-        return [l for l in self._links_by_node.get(node_id, []) if not l.closed]
+        """Open links ``node_id`` currently participates in (a copy)."""
+        return list(self._links_by_node.get(node_id, _NO_LINKS))
 
     def open_links(self, node_id: int) -> List[Link]:
         """``node_id``'s open links, zero-copy (router hot-path view).
 
-        Links are removed from the per-node lists *before* they close
-        (contact-down, disconnect), so the internal list only ever holds
-        open links.  Treat as read-only — callers that might mutate the
-        link set while iterating must use :meth:`active_links`, which
-        copies (and re-checks ``closed`` as belt and braces).
+        :meth:`_close_contact` removes a link from the per-node lists
+        *before* it closes, so the internal list only ever holds open
+        links.  Treat as read-only — callers that might mutate the link
+        set while iterating must use :meth:`active_links`, which copies.
         """
         links = self._links_by_node.get(node_id)
         return links if links is not None else _NO_LINKS
 
     def link_between(self, a: int, b: int) -> Optional[Link]:
         """The open link between ``a`` and ``b``, if any."""
-        link = self._links.get((a, b) if a < b else (b, a))
-        if link is not None and not link.closed:
-            return link
-        return None
+        return self._links.get((a, b) if a < b else (b, a))
 
     def can_send(self, link: Link, sender: int, message: Message) -> bool:
         """Whether :meth:`send_message` would actually start a transfer.
@@ -414,16 +424,15 @@ class World:
             ConfigurationError: When a contact names a node this world
                 does not have, naming the first such id.
         """
-        known = np.sort(self.state.node_ids)
-        unknown_a = _unknown_ids(known, trace.a)
-        unknown_b = _unknown_ids(known, trace.b)
-        unknown = unknown_a | unknown_b
+        n = self.state.n
+        # Ids are 0..n-1 and every trace row has a < b.
+        unknown = (trace.a < 0) | (trace.b >= n)
         if unknown.any():
             row = int(unknown.argmax())
-            node = trace.a[row] if unknown_a[row] else trace.b[row]
+            node = trace.a[row] if trace.a[row] < 0 else trace.b[row]
             raise ConfigurationError(
                 f"contact {row} names node {int(node)}, but the world has "
-                f"{known.size} nodes"
+                f"{n} nodes"
             )
         run_up = self._run_up_batch
         run_down = self._run_down_batch
@@ -437,25 +446,17 @@ class World:
     def _run_up_batch(self, batch: List[Tuple[int, int]]) -> None:
         """One contact-up tick: admit, batch-prepare, open.
 
-        With a batching router this splits the per-pair handler into
-        three phases — (1) admission for every pair in trace order
-        (consuming the behaviour RNG stream exactly as the per-pair
-        loop does: admission outcomes cannot be changed by earlier
-        pairs' exchanges, whose transfers settle at strictly later
-        events), (2) one ``prepare_contact_batch`` so the router can
-        run its pre-exchange state updates vectorised, then (3) the
-        open/trace/exchange half per admitted pair in order.  A pair
-        admitted earlier in the batch suppresses later duplicates
-        before their RNG draws — the same skip the live-link check
-        performs per pair.  Without a batching router this is the plain
-        per-pair loop.
+        Three phases — (1) admission for every pair in trace order
+        (consuming the behaviour RNG stream exactly as a per-pair loop
+        does: admission outcomes cannot be changed by earlier pairs'
+        exchanges, whose transfers settle at strictly later events),
+        (2) one ``prepare_contact_batch`` so the router can plan its
+        pre-exchange state updates vectorised (the base hook does
+        nothing), then (3) the open/trace/``on_contact_start`` half per
+        admitted pair in order.  A pair admitted earlier in the batch
+        suppresses later duplicates before their RNG draws — the same
+        skip the live-link check performs per pair.
         """
-        router = self.router
-        if not router.supports_contact_batching:
-            contact_up = self._contact_up
-            for pair in batch:
-                contact_up(pair)
-            return
         admit = self._admit_contact
         admitted: List[Tuple[int, int]] = []
         admitted_set: Set[Tuple[int, int]] = set()
@@ -467,61 +468,62 @@ class World:
                 admitted_set.add(pair)
         if not admitted:
             return
-        router.prepare_contact_batch(admitted)
+        self.router.prepare_contact_batch(admitted)
         open_contact = self._open_contact
         for pair in admitted:
             open_contact(pair)
 
-    def _run_down_batch(self, batch: List[Tuple[int, int]]) -> None:
-        """One contact-down tick: close in order, batch the growths.
+    def _run_down_batch(
+        self, batch: List[Tuple[int, int]], reason: str = "mobility"
+    ) -> None:
+        """One contact-down tick: close in order, then end the batch.
 
         Every live pair is popped, closed and traced at its per-pair
-        point (aborting in-flight transfers exactly as before).  The
-        router's ``on_contact_end`` — the ChitChat growth phase — is
-        deferred for *every* closed pair to one ``contact_end_batch``
-        call in close order: close/abort handling never reads interest
-        tables, so nothing between a growth's per-pair point and the
-        end of the batch observes it, and the router reconstructs each
-        node's own growth order exactly via round decomposition (see
-        ``ChitChatRouter.contact_end_batch``).
+        point (aborting in-flight transfers), and the router gets every
+        closed link in one ``contact_end_batch`` call in close order.
+        The base hook replays ``on_contact_end`` per link.  Close/abort
+        handling never reads interest tables, so nothing between a
+        growth's per-pair point and the end of the batch observes it,
+        and ChitChat reconstructs each node's own growth order exactly
+        via round decomposition (see ``ChitChatRouter.contact_end_batch``).
+        Forced disconnects run here too, under their own ``reason``.
         """
-        router = self.router
-        if not router.supports_contact_batching:
-            contact_down = self._contact_down
-            for pair in batch:
-                contact_down(pair)
-            return
         close = self._close_contact
-        deferred: List[Link] = []
+        closed: List[Link] = []
         for pair in batch:
-            link = close(pair)
+            link = close(pair, reason)
             if link is not None:
-                deferred.append(link)
-        if deferred:
-            router.contact_end_batch(deferred)
+                closed.append(link)
+        if closed:
+            self.router.contact_end_batch(closed)
 
     def battery_level(self, node_id: int) -> Optional[float]:
-        """Remaining battery in joules (None when batteries are off)."""
+        """Remaining battery in joules (None when batteries are off).
+
+        Raises:
+            ConfigurationError: For unknown ids, when batteries are on.
+        """
         if self.state.battery is None:
             return None
-        return float(self.state.battery[self.state.slot_of(node_id)])
+        # A negative id would silently read another node's entry.
+        return float(self.state.battery[self.node(node_id).node_id])
 
     def _battery_dead(self, node_id: int) -> bool:
         if self.state.battery is None:
             return False
-        return bool(self.state.battery[self.state.slot_of(node_id)] <= 0.0)
+        return bool(self.state.battery[node_id] <= 0.0)
 
     def _drain_battery(self, node_id: int, joules: float) -> None:
         battery = self.state.battery
         if battery is None:
             return
-        slot = self.state.slot_of(node_id)
-        before = float(battery[slot])
-        battery[slot] = max(0.0, before - joules)
+        before = float(battery[node_id])
+        battery[node_id] = max(0.0, before - joules)
         # Under fault injection a depleted battery is a blackout: the
         # node drops its links on the spot instead of merely refusing
         # new contacts.  (Without the injector existing links survive.)
-        if self.faults is not None and before > 0.0 and battery[slot] <= 0.0:
+        if (self.faults is not None and before > 0.0
+                and battery[node_id] <= 0.0):
             self._battery_blackout(node_id)
 
     def _battery_blackout(self, node_id: int) -> None:
@@ -573,7 +575,7 @@ class World:
         Both nodes exist: :meth:`load_contact_trace` checked the ids.
         """
         a, b = pair
-        if self._links.get(pair) is not None and not self._links[pair].closed:
+        if pair in self._links:
             return False
         # A selfish node's radio is usually off: the contact only forms
         # when both endpoints participate (Paper I, experiment A).
@@ -605,54 +607,38 @@ class World:
             })
         self.router.on_contact_start(link)
 
-    def _contact_up(self, pair: Tuple[int, int]) -> None:
-        if self._admit_contact(pair):
-            self._open_contact(pair)
-
-    def _close_contact(self, pair: Tuple[int, int]) -> Optional[Link]:
+    def _close_contact(
+        self, pair: Tuple[int, int], reason: str
+    ) -> Optional[Link]:
         """Pop, unregister, close and trace the pair's live link.
 
-        Returns the closed link (``None`` when there was no live link),
-        so callers decide when the router's ``on_contact_end`` runs —
-        the batched down tick defers it.
+        The one place a link closes.  Returns the closed link (``None``
+        when there was no live link) for the caller's
+        ``contact_end_batch``.
         """
         link = self._links.pop(pair, None)
-        if link is None or link.closed:
+        if link is None:
             return None
         a, b = pair
         self._links_by_node[a].remove(link)
         self._links_by_node[b].remove(link)
-        link.close()
+        link.close(reason)
         if self.trace.enabled:
             self.trace.emit({
                 "type": "contact-down", "t": self.now, "a": a, "b": b,
-                "reason": "mobility",
+                "reason": reason,
             })
         return link
-
-    def _contact_down(self, pair: Tuple[int, int]) -> None:
-        link = self._close_contact(pair)
-        if link is not None:
-            self.router.on_contact_end(link)
 
     # ------------------------------------------------------------------
     # Faults: churn, blackouts, recharge (driven by the FaultInjector)
     # ------------------------------------------------------------------
     def _disconnect_node(self, node_id: int, reason: str) -> None:
-        """Force-close every link ``node_id`` participates in."""
-        for link in list(self._links_by_node.get(node_id, [])):
-            if link.closed:
-                continue
-            self._links.pop(link.pair, None)
-            self._links_by_node[link.a].remove(link)
-            self._links_by_node[link.b].remove(link)
-            link.close(reason=reason)
-            if self.trace.enabled:
-                self.trace.emit({
-                    "type": "contact-down", "t": self.now,
-                    "a": link.a, "b": link.b, "reason": reason,
-                })
-            self.router.on_contact_end(link)
+        """Force-close every link ``node_id`` participates in, as a
+        down tick of those links would."""
+        self._run_down_batch(
+            [link.pair for link in self._links_by_node[node_id]], reason
+        )
 
     def on_node_crashed(self, node_id: int, *, wipe_state: bool) -> None:
         """A churn crash: drop links and (optionally) volatile state.
@@ -689,8 +675,7 @@ class World:
     def _recharge(self, now: float) -> None:
         if self.state.battery is None or self.faults is None:
             return
-        # A population recharges with a per-node amount array (slot
-        # order == node-id order).
+        # A population recharges with a per-node amount array.
         amount = self.faults.config.recharge_amount
         if self.population is not None:
             amount = self.population.recharge_amounts(amount)
@@ -782,11 +767,9 @@ class World:
             kw: col for col, kw in enumerate(keywords)
         }
         matrix = np.zeros((len(self._nodes), len(keywords)), dtype=bool)
-        slot_of = self.state.slot_of
         for node in self._nodes.values():
-            slot = slot_of(node.node_id)
             for kw in node.interests:
-                matrix[slot, self._interest_columns[kw]] = True
+                matrix[node.node_id, self._interest_columns[kw]] = True
         self._interest_matrix = matrix
 
     def subscribe(self, node_id: int, keywords: Iterable[str]) -> None:
@@ -806,8 +789,8 @@ class World:
         if not cols:
             return set()
         mask = self._interest_matrix[:, cols].any(axis=1)
-        mask[self.state.slot_of(message.source)] = False
-        return set(self.state.node_ids[mask].tolist())
+        mask[message.source] = False
+        return set(np.flatnonzero(mask).tolist())
 
     def use_generator(self, generator: MessageGenerator) -> None:
         """Attach the workload generator used by :meth:`schedule_workload`."""

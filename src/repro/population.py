@@ -181,6 +181,15 @@ class NodeClassSpec:
             value = getattr(self, field_name)
             if value is not None:
                 _check_positive(self.name, field_name, value)
+        # An infinite battery models mains power; an infinite radio
+        # runs silently wrong (see ScenarioConfig).
+        for field_name in ("transmission_radius", "link_speed"):
+            value = getattr(self, field_name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"population[{self.name}].{field_name} must be "
+                    f"finite, got {value!r}"
+                )
         for field_name in ("selfish_fraction", "malicious_fraction"):
             value = getattr(self, field_name)
             if value is not None and not 0.0 <= value <= 1.0:

@@ -78,14 +78,6 @@ class Router(abc.ABC):
     #: Short name used in reports (override in subclasses).
     name: str = "router"
 
-    #: Whether the world may drive this router through the batched
-    #: contact hooks (:meth:`prepare_contact_batch` /
-    #: :meth:`contact_end_batch`).  Only routers that have proven the
-    #: batched forms bit-identical to the per-contact hooks opt in
-    #: (ChitChat over the fused interest store); the world falls back
-    #: to the per-pair path otherwise.
-    supports_contact_batching: bool = False
-
     #: Whether a destination keeps a copy in its buffer to serve further
     #: destinations.  Substrates whose reception semantics terminate at
     #: the destination (PRoPHET, Spray-and-Wait) set this False; the
@@ -137,15 +129,18 @@ class Router(abc.ABC):
         """A contact went down (in-flight transfers already aborted)."""
 
     # ------------------------------------------------------------------
-    # Batched contact hooks (opt-in; see supports_contact_batching)
+    # Batched contact hooks: the world's only contact-tick entry points
     # ------------------------------------------------------------------
+    # Every router takes both.  The defaults make them exactly a
+    # per-pair loop; a router overrides them only to plan or fuse the
+    # tick's per-pair work with a bit-identical result (ChitChat).
     def prepare_contact_batch(
         self, pairs: List[Tuple[int, int]]
     ) -> None:
         """All admitted pairs of one contact-up tick, before any opens.
 
-        Called by the world once per up tick so a batching router can
-        plan pre-exchange state updates (ChitChat's RTSR decay) as
+        Called by the world once per up tick so a router can plan
+        pre-exchange state updates (ChitChat's RTSR decay) as
         vectorised passes, leaving the per-pair hooks only what must
         land at each pair's point.  The default does nothing —
         :meth:`prepare_contact` still runs per pair from
@@ -153,9 +148,10 @@ class Router(abc.ABC):
         """
 
     def contact_end_batch(self, links: List[Link]) -> None:
-        """Every closed link of one contact-down tick, in close order.
+        """Every link closed by one contact-down tick or one forced
+        disconnect (churn crash, battery blackout), in close order.
 
-        Called by the world instead of per-pair
+        The world calls this instead of per-link
         :meth:`on_contact_end`; the router may reorder or fuse the
         per-link work as long as the result is bit-identical (ChitChat
         uses round decomposition).  The default simply replays the

@@ -856,9 +856,6 @@ class ChitChatRouter(Router):
 
     name = "chitchat"
 
-    #: The fused store's batched hooks are bit-identical to per-pair.
-    supports_contact_batching = True
-
     #: Abort reasons eligible for retransmission (link survived).
     RETRYABLE_ABORTS = ("loss", "corruption")
 
@@ -1512,22 +1509,22 @@ class ChitChatRouter(Router):
         self.run_rtsr_growth(link, elapsed)
 
     def contact_end_batch(self, links: List[Link]) -> None:
-        """Run the growth phase for a whole tick of ended contacts.
+        """Run the growth phase for a whole batch of ended contacts.
 
-        The world defers ``on_contact_end`` for *every*
-        closed pair of the down tick and hands them here in close
-        order.  The down tick reads interest tables only through these
-        growths (close/abort handling touches none), so the only order
-        that matters is each node's own growth sequence.  That is
-        preserved exactly by round decomposition: a pair's round is one
-        past the latest round either endpoint already appears in, so
-        within a round every node appears at most once (the distinct-
-        rows contract of ``batch_grow_pairs``) and a node's growths run
-        in the same relative order as the per-pair path.  Each round is
-        one store-level pass — snapshot-gather both sides first, then
-        scatter, the same symmetry discipline as ``run_rtsr_growth`` —
-        so the result is bit-identical.  At paper densities almost
-        every pair lands in round zero.
+        The world defers ``on_contact_end`` for *every* closed pair of
+        a down tick, or of a churn crash or battery blackout, and hands
+        them here in close order.  The close reads interest tables only
+        through these growths (close/abort handling touches none), so
+        the only order that matters is each node's own growth sequence.
+        That is preserved exactly by round decomposition: a pair's
+        round is one past the latest round either endpoint already
+        appears in, so within a round every node appears at most once
+        (the distinct-rows contract of ``batch_grow_pairs``) and a
+        node's growths run in the same relative order as the per-pair
+        path.  Each round is one store-level pass — snapshot-gather
+        both sides first, then scatter, the same symmetry discipline as
+        ``run_rtsr_growth`` — so the result is bit-identical.  At paper
+        densities almost every pair lands in round zero.
         """
         store = self._store
         now = self.world.now

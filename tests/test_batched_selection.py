@@ -4,13 +4,13 @@ Tests pinning the per-tick batched paths to their sequential
 references:
 
 * The batched up tick (``World._run_up_batch`` handing the tick to
-  ``prepare_contact_batch``) must produce the same event trace as the
-  per-pair tick a router without ``supports_contact_batching`` gets —
-  on whole scenario runs (which must not run a single per-pair decay),
-  on random ticks (every table state compared too), on the 4-node tick
-  where hoisting a tick-start open peer's decay once changed an offer,
-  and on the tick where a prune changes what a later decay stamps
-  (DESIGN.md §9).
+  ``prepare_contact_batch``) must produce the same event trace as a
+  ChitChat that keeps the base class's batched hooks, so every decay
+  and growth runs pair by pair — on whole scenario runs (which must
+  not run a single per-pair decay), on random ticks (every table state
+  compared too), on the 4-node tick where hoisting a tick-start open
+  peer's decay once changed an offer, and on the tick where a prune
+  changes what a later decay stamps (DESIGN.md §9).
 * The selection kernel (``ChitChatRouter._select_sides``), over a whole
   tick or on one side, must offer what the per-message loop it
   replaced offers and leave the same memo entries, and a tick's stored
@@ -49,6 +49,7 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.network.node import Node
 from repro.network.world import World
+from repro.routing.base import Router
 from repro.routing.chitchat import ChitChatRouter, InterestTable
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
@@ -63,10 +64,12 @@ from tests.test_world_soa_differential import normalise
 # Batched tick vs per-pair tick
 # ----------------------------------------------------------------------
 class _PerPairChitChat(ChitChatRouter):
-    """ChitChat without the batch hooks: the world runs every tick pair
-    by pair (``World._run_up_batch``'s per-pair branch)."""
+    """ChitChat with the base class's batched hooks: every decay runs
+    at its pair's ``prepare_contact`` (``InterestTable.decay``) and
+    every growth at its link's ``on_contact_end``."""
 
-    supports_contact_batching = False
+    prepare_contact_batch = Router.prepare_contact_batch
+    contact_end_batch = Router.contact_end_batch
 
 
 class _Records(TraceRecorder):
@@ -413,7 +416,8 @@ class _LoggedBatched(ChitChatRouter):
 
 
 class _LoggedOneSide(_LoggedBatched):
-    supports_contact_batching = False
+    prepare_contact_batch = Router.prepare_contact_batch
+    contact_end_batch = Router.contact_end_batch
 
 
 class _LoggedReference(_LoggedOneSide):

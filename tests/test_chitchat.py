@@ -371,7 +371,7 @@ class TestFullyStampedSkip:
         router.table(0)
         router.table(1)
         world.engine.run_until(100.0)
-        world._contact_up((0, 1))
+        world._open_contact((0, 1))
         decayed = []
         original = InterestTable.decay
 

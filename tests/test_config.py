@@ -92,6 +92,9 @@ class TestValidation:
             ),
         )}),
         ("role_fractions", (0.5, math.nan)),  # NaN slips past `< 0`
+        # inf ran silently wrong: 0-s transfers, or no contacts at all.
+        ("link_speed", math.inf),
+        ("transmission_radius", math.inf),
     ])
     def test_invalid_field_fails_at_construction(self, field_name, value):
         # Each of these used to construct and then fail inside
@@ -114,6 +117,8 @@ class TestValidation:
             role_levels=("private",),
             role_fractions=(1.0,),
         )
+        # An infinite battery models mains power.
+        ScenarioConfig(battery_capacity=math.inf)
         # Standing still is fine for static nodes.
         ScenarioConfig(mobility="static", speed_range=(0.0, 0.0))
         ScenarioConfig.hetero()  # its infrastructure class is static

@@ -56,7 +56,7 @@ class TestEnergyAccounting:
 
     def test_charge_accumulates_per_node(self):
         model = EnergyModel()
-        model.attach(WorldState([1, 2, 3]))
+        model.attach(WorldState(4))
         model.charge(1, 0.5)
         model.charge(1, 0.25)
         model.charge(2, 1.0)

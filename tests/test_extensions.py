@@ -66,6 +66,12 @@ class TestBattery:
         assert world.battery_level(0) == 0.0
         assert second.uuid not in world.node(1).delivered
 
+    @pytest.mark.parametrize("node_id", [-1, 2])
+    def test_unknown_node_battery_rejected(self, node_id):
+        world = make_world_with_battery(capacity=1.0)
+        with pytest.raises(ConfigurationError, match="unknown node id"):
+            world.battery_level(node_id)
+
     def test_battery_off_by_default(self):
         world = make_world_with_battery(capacity=None)
         assert world.battery_level(0) is None

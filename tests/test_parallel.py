@@ -22,6 +22,7 @@ from repro.experiments import (
     trace_cache_key,
 )
 from repro.experiments.parallel import execute_spec, resolve_workers
+from repro.experiments import parallel as parallel_module
 from repro.experiments import runner as runner_module
 from repro.experiments import trace_cache as trace_cache_module
 from repro.trace.audit import replay_trace
@@ -332,6 +333,18 @@ class TestTraceCache:
 class TestRetries:
     """run_specs retries transient failures with exponential backoff."""
 
+    @pytest.fixture(autouse=True)
+    def sleeps(self, monkeypatch):
+        """The backoff sleeps, recorded instead of slept."""
+        sleeps = []
+        monkeypatch.setattr(parallel_module.time, "sleep", sleeps.append)
+        return sleeps
+
+    @staticmethod
+    def _budget(monkeypatch, retries, backoff=0.0):
+        monkeypatch.setattr(parallel_module, "MAX_RETRIES", retries)
+        monkeypatch.setattr(parallel_module, "RETRY_BACKOFF", backoff)
+
     def _flaky_execute(self, fail_times):
         """An execute_spec stand-in that fails the first N calls."""
         calls = []
@@ -348,67 +361,50 @@ class TestRetries:
         return fake, calls
 
     def test_transient_failure_heals(self, tiny, monkeypatch):
-        from repro.experiments import parallel as parallel_module
-
         fake, calls = self._flaky_execute(fail_times=1)
         monkeypatch.setattr(parallel_module, "execute_spec", fake)
-        outcomes = parallel_module.run_specs(
-            [RunSpec(tiny, "direct", 1)],
-            workers=1, max_retries=2, retry_backoff=0.0,
-        )
+        self._budget(monkeypatch, 2)
+        outcomes = run_specs([RunSpec(tiny, "direct", 1)], workers=1)
         assert isinstance(outcomes[0], RunDigest)
         assert outcomes[0].attempts == 2
         assert len(calls) == 2
 
-    def test_deterministic_failure_exhausts_budget(self, tiny):
+    def test_deterministic_failure_exhausts_budget(self, tiny, monkeypatch):
         # An unknown scheme fails identically on every attempt.
+        self._budget(monkeypatch, 2)
         outcomes = run_specs(
-            [RunSpec(tiny, "no-such-scheme", 1)],
-            workers=1, max_retries=2, retry_backoff=0.0,
+            [RunSpec(tiny, "no-such-scheme", 1)], workers=1,
         )
         failure = outcomes[0]
         assert isinstance(failure, RunFailure)
         assert failure.attempts == 3  # initial + 2 retries
 
-    def test_zero_retries_fails_fast(self, tiny):
+    def test_zero_retries_fails_fast(self, tiny, monkeypatch, sleeps):
+        self._budget(monkeypatch, 0)
         outcomes = run_specs(
-            [RunSpec(tiny, "no-such-scheme", 1)],
-            workers=1, max_retries=0,
+            [RunSpec(tiny, "no-such-scheme", 1)], workers=1,
         )
         assert isinstance(outcomes[0], RunFailure)
         assert outcomes[0].attempts == 1
+        assert sleeps == []
 
-    def test_success_records_single_attempt(self, tiny):
-        outcomes = run_specs(
-            [RunSpec(tiny, "direct", 1)], workers=1, retry_backoff=0.0
-        )
+    def test_success_records_single_attempt(self, tiny, sleeps):
+        outcomes = run_specs([RunSpec(tiny, "direct", 1)], workers=1)
         assert outcomes[0].attempts == 1
+        assert sleeps == []
 
-    def test_backoff_is_exponential(self, tiny, monkeypatch):
-        from repro.experiments import parallel as parallel_module
-
-        sleeps = []
-        monkeypatch.setattr(
-            parallel_module.time, "sleep", sleeps.append
-        )
-        run_specs(
-            [RunSpec(tiny, "no-such-scheme", 1)],
-            workers=1, max_retries=3, retry_backoff=0.5,
-        )
+    def test_backoff_is_exponential(self, tiny, monkeypatch, sleeps):
+        self._budget(monkeypatch, 3, backoff=0.5)
+        run_specs([RunSpec(tiny, "no-such-scheme", 1)], workers=1)
         assert sleeps == [0.5, 1.0, 2.0]
 
-    def test_negative_budgets_rejected(self, tiny):
-        with pytest.raises(ExperimentError):
-            run_specs([RunSpec(tiny, "direct", 1)], max_retries=-1)
-        with pytest.raises(ExperimentError):
-            run_specs([RunSpec(tiny, "direct", 1)], retry_backoff=-1.0)
-
-    def test_pool_path_retries_failures(self, tiny):
+    def test_pool_path_retries_failures(self, tiny, monkeypatch):
         # Mixed batch across a real pool: the good spec succeeds on the
         # first round, the bad one is retried and keeps failing.
+        self._budget(monkeypatch, 1)
         outcomes = run_specs(
             [RunSpec(tiny, "direct", 1), RunSpec(tiny, "no-such-scheme", 1)],
-            workers=2, max_retries=1, retry_backoff=0.0,
+            workers=2,
         )
         assert isinstance(outcomes[0], RunDigest)
         assert outcomes[0].attempts == 1

@@ -20,6 +20,7 @@ Pins the contracts DESIGN.md §11 promises:
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,14 @@ class TestSpecValidation:
             ConfigurationError, match=rf"population\[x\].{field}"
         ):
             NodeClassSpec("x", 1.0, **{field: 0})
+
+    @pytest.mark.parametrize("field", ["transmission_radius", "link_speed"])
+    def test_infinite_radio_override_names_the_field(self, field):
+        message = rf"population\[x\].{field} must be finite"
+        with pytest.raises(ConfigurationError, match=message):
+            NodeClassSpec("x", 1.0, **{field: math.inf})
+        # An infinite battery models mains power and stays legal.
+        NodeClassSpec("x", 1.0, battery_capacity=math.inf)
 
     def test_nonpositive_reward_multiplier_rejected(self):
         with pytest.raises(

@@ -19,6 +19,33 @@ def _world(interests=None, **kwargs):
     return make_world(interests, EpidemicRouter(), **kwargs)
 
 
+class _RecordingEpidemic(EpidemicRouter):
+    """Epidemic that logs every contact hook the world calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def prepare_contact_batch(self, pairs):
+        self.calls.append(("prepare", self.world.now, list(pairs)))
+        super().prepare_contact_batch(pairs)
+
+    def on_contact_start(self, link):
+        self.calls.append(("start", self.world.now, link.pair))
+        super().on_contact_start(link)
+
+    def contact_end_batch(self, links):
+        assert all(link.closed for link in links)
+        self.calls.append(
+            ("end-batch", self.world.now, [link.pair for link in links])
+        )
+        super().contact_end_batch(links)
+
+    def on_contact_end(self, link):
+        self.calls.append(("end", self.world.now, link.pair))
+        super().on_contact_end(link)
+
+
 class TestConstruction:
     def test_duplicate_node_ids_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -30,12 +57,32 @@ class TestConstruction:
             world.node(99)
 
     def test_node_ids_sorted(self):
-        world = _world({5: [], 1: [], 3: []})
-        assert world.node_ids() == [1, 3, 5]
+        nodes = [Node(2, []), Node(0, []), Node(1, [])]
+        world = World(Engine(), nodes, EpidemicRouter())
+        assert world.node_ids() == [0, 1, 2]
+
+    def test_non_dense_node_ids_rejected(self):
+        # Ids index the per-node arrays, so they must be exactly 0..n-1.
+        with pytest.raises(ConfigurationError, match="id 0 is missing"):
+            _world({1: [], 3: [], 5: []})
 
     def test_invalid_link_speed_rejected(self):
         with pytest.raises(ConfigurationError):
             World(Engine(), [Node(0, [])], EpidemicRouter(), link_speed=0.0)
+
+    @pytest.mark.parametrize("argument, value", [
+        ("link_speed", float("nan")),
+        ("link_speed", float("inf")),
+        ("nominal_distance", -1.0),
+        ("nominal_distance", float("nan")),
+        ("nominal_distance", float("inf")),
+    ])
+    def test_invalid_radio_values_rejected(self, argument, value):
+        with pytest.raises(ConfigurationError, match=argument):
+            World(
+                Engine(), [Node(0, [])], EpidemicRouter(),
+                **{argument: value},
+            )
 
 
 class TestContacts:
@@ -83,12 +130,6 @@ class TestContacts:
                 contact(10.0, 50.0, 0, 1), contact(20.0, 50.0, 1, 7)
             ))
 
-    def test_sparse_node_ids_are_checked_by_membership(self):
-        world = _world({1: [], 3: [], 5: []})
-        world.load_contact_trace(trace_of(contact(10.0, 50.0, 3, 5)))
-        with pytest.raises(ConfigurationError, match="names node 2,"):
-            world.load_contact_trace(trace_of(contact(10.0, 50.0, 1, 2)))
-
     def test_run_rejects_a_trace_beyond_the_population(self):
         from repro.experiments import ScenarioConfig, run_scenario
 
@@ -102,8 +143,51 @@ class TestContacts:
 
     def test_contact_down_without_up_is_harmless(self):
         world = _world()
-        world.engine.schedule_at(5.0, lambda: world._contact_down((0, 1)))
+        world.engine.schedule_at(5.0, lambda: world._run_down_batch([(0, 1)]))
         world.run(10.0)
+
+
+class TestBatchedHooks:
+    """Every router takes the two tick handlers; the base hooks replay
+    the per-link ``on_contact_end``."""
+
+    def _calls(self, crash_at=None):
+        never = BehaviorProfile(selfish=True, participation_probability=0.0)
+        router = _RecordingEpidemic()
+        world = make_world(
+            {0: [], 1: [], 2: [], 3: []}, router, behaviors={3: never}
+        )
+        if crash_at is not None:
+            world.engine.schedule_at(
+                crash_at, lambda: world.on_node_crashed(1, wipe_state=False)
+            )
+        world.load_contact_trace(trace_of(
+            contact(10.0, 50.0, 0, 1),
+            contact(10.0, 50.0, 0, 3),
+            contact(10.0, 50.0, 1, 2),
+        ))
+        world.run(100.0)
+        return router.calls
+
+    def test_ticks_reach_the_router_through_the_batch_hooks(self):
+        # Node 3 never participates, so (0, 3) is not admitted.
+        assert self._calls() == [
+            ("prepare", 10.0, [(0, 1), (1, 2)]),
+            ("start", 10.0, (0, 1)),
+            ("start", 10.0, (1, 2)),
+            ("end-batch", 50.0, [(0, 1), (1, 2)]),
+            ("end", 50.0, (0, 1)),
+            ("end", 50.0, (1, 2)),
+        ]
+
+    def test_churn_crash_ends_its_links_in_one_batch(self):
+        calls = self._calls(crash_at=20.0)
+        # The down tick at t=50 finds no live link left.
+        assert calls[3:] == [
+            ("end-batch", 20.0, [(0, 1), (1, 2)]),
+            ("end", 20.0, (0, 1)),
+            ("end", 20.0, (1, 2)),
+        ]
 
 
 class TestTransfers:

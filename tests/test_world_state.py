@@ -1,7 +1,7 @@
 """Tests for the struct-of-arrays per-node world state.
 
-* **Slot bookkeeping** — construction, degenerate populations (0 and
-  1 nodes) and the id/slot round trip.
+* **Construction** — degenerate populations (0 and 1 nodes) and
+  battery validation; entry ``k`` of every array is node ``k``'s.
 * **Recharge** — batteries refill up to, never past, capacity.
 * **Settlement conservation** — a traced run's token settlements replay
   cleanly through the conservation auditor.
@@ -22,57 +22,27 @@ finite_floats = st.floats(
 
 class TestConstruction:
     def test_zero_nodes(self):
-        state = WorldState([])
+        state = WorldState(0)
         assert state.n == 0
         assert len(state) == 0
         assert state.energy.shape == (0,)
         assert state.battery is None
 
     def test_one_node(self):
-        state = WorldState([7], battery_capacity=5.0)
+        state = WorldState(1, battery_capacity=5.0)
         assert state.n == 1
-        assert state.slot_of(7) == 0
         assert state.battery.tolist() == [5.0]
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WorldState([1, 2, 1])
-
-    def test_negative_ids_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WorldState([0, -1])
-
-    def test_unknown_id_rejected(self):
-        state = WorldState([0, 1, 2])
-        with pytest.raises(ConfigurationError):
-            state.slot_of(3)
 
     def test_zero_battery_rejected(self):
         with pytest.raises(ConfigurationError):
-            WorldState([0, 1], battery_capacity=0.0)
-
-    @given(ids=st.lists(
-        st.integers(min_value=0, max_value=10_000),
-        min_size=1, max_size=50, unique=True,
-    ))
-    @settings(max_examples=100, deadline=None)
-    def test_slot_round_trip(self, ids):
-        state = WorldState(ids)
-        for k, node_id in enumerate(ids):
-            assert state.slot_of(node_id) == k
-        assert state.node_ids.tolist() == ids
-
-    def test_node_ids_view_read_only(self):
-        state = WorldState([0, 1, 2])
-        with pytest.raises(ValueError):
-            state.node_ids[0] = 9
+            WorldState(2, battery_capacity=0.0)
 
 
 class TestAccumulationOrder:
     @given(amount=finite_floats)
     @settings(max_examples=50, deadline=None)
     def test_recharge_caps_at_capacity(self, amount):
-        state = WorldState(range(4), battery_capacity=100.0)
+        state = WorldState(4, battery_capacity=100.0)
         state.battery[:] = [0.0, 25.0, 99.0, 100.0]
         state.recharge(amount)
         assert np.all(state.battery <= 100.0)
