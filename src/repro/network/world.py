@@ -162,7 +162,8 @@ class World:
             )
         if ttl is not None and ttl <= 0:
             raise ConfigurationError(f"ttl must be > 0, got {ttl!r}")
-        if battery_capacity is not None and battery_capacity <= 0:
+        # ``not > 0`` also rejects NaN; ``inf`` (mains power) stays legal.
+        if battery_capacity is not None and not battery_capacity > 0:
             raise ConfigurationError(
                 f"battery_capacity must be > 0, got {battery_capacity!r}"
             )

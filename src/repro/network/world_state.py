@@ -50,7 +50,7 @@ class WorldState:
                 raise ConfigurationError(
                     "per-node battery_capacity entries must be > 0"
                 )
-        elif battery_capacity is not None and battery_capacity <= 0:
+        elif battery_capacity is not None and not battery_capacity > 0:
             raise ConfigurationError(
                 f"battery_capacity must be > 0, got {battery_capacity!r}"
             )

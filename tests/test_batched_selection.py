@@ -11,6 +11,12 @@ references:
   compared too), on the 4-node tick where hoisting a tick-start open
   peer's decay once changed an offer, and on the tick where a prune
   changes what a later decay stamps (DESIGN.md §9).
+* The array planner (``ChitChatRouter._plan_decay``) must give every
+  side of random ticks the round and stash decision of the per-side
+  loop it replaced (``_reference_plan``), with equal store arrays,
+  stashes, records and selection rows; growth rounds must equal the
+  per-link loop's, and a forced disconnect's star of links must grow
+  as per-pair ``run_rtsr_growth`` does (DESIGN.md §9).
 * The selection kernel (``ChitChatRouter._select_sides``), over a whole
   tick or on one side, must offer what the per-message loop it
   replaced offers and leave the same memo entries, and a tick's stored
@@ -33,10 +39,11 @@ forms evaluate the same IEEE expressions, so drift is a bug.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core import protocol
@@ -49,6 +56,7 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.network.node import Node
 from repro.network.world import World
+from repro.routing import chitchat
 from repro.routing.base import Router
 from repro.routing.chitchat import ChitChatRouter, InterestTable
 from repro.sim.engine import Engine
@@ -329,6 +337,385 @@ def test_batched_tick_matches_per_pair_tick(case, tmp_path, monkeypatch):
             json.loads(line).get("wiped") is True for line in lines
         ), "no churn wipe happened"
     assert _trace_lines(per_pair) == lines
+
+
+# ----------------------------------------------------------------------
+# Array planner vs the per-side loop
+# ----------------------------------------------------------------------
+def _reference_plan(router, pairs):
+    """The per-side planning loop the array planner replaced.
+
+    Runs the up tick's plan on ``router`` the way it ran before: tables
+    created in first-appearance order, every decay side given its round
+    in per-pair order, each round run on scratch rows (first sides
+    through ``InterestStore.batch_decay``, the rest stashed in
+    ``_planned``).  Returns ``(rounds, stashed, side_rows)``: per side
+    ``(pair, slot)`` of a node not fully stamped at tick start, its
+    round and whether it was stashed; and the selection rows.
+    """
+    planned = router._planned
+    planned.clear()
+    tables = router._tables
+    store = router._store
+    now = router.world.now
+    first, count, busy, need = {}, {}, set(), {}
+    for k, pair in enumerate(pairs):
+        planned[pair] = [None, None]
+        for slot, n in enumerate(pair):
+            if n in count:
+                count[n] += 1
+            else:
+                first[n] = k
+                count[n] = 1
+                router.table(n)
+                if router.world.node(n).buffer._messages:
+                    busy.add(n)
+            if n in busy:
+                need.setdefault(k, 2 * len(need))
+    side_rows = store._w[[tables[n]._row for k in need for n in pairs[k]]]
+    nodes = list(first)
+    rows = np.array([tables[n]._row for n in nodes], dtype=np.intp)
+    P, L = store._p[rows], store._l[rows]
+    live = (P & (L < now)).any(axis=1)
+    active = []
+    for n, is_live in zip(nodes, live.tolist()):
+        if is_live:
+            active.append(n)
+        else:
+            t = tables[n]
+            t._stamped = (now, t.version, t._members_version)
+    rounds, stashed = {}, {}
+    if not active:
+        return rounds, stashed, side_rows
+    n_active = len(active)
+    act_rows = rows[live]
+    sW, sD, sL = store._w[act_rows], store._d[act_rows], L[live]
+    transient = P[live] & ~sD
+    wmin = np.where(transient, sW, np.inf).min(axis=1)
+    lmin = np.where(transient, sL, np.inf).min(axis=1)
+    denmax = np.maximum(router.beta * (now - lmin), 1.0)
+    n_sides = np.array([count[n] for n in active], dtype=np.float64)
+    first_prune = [0] * n_active
+    for i in np.flatnonzero(wmin < 2e-3 * denmax ** n_sides).tolist():
+        j = 1
+        while not wmin[i] < 2e-3 * denmax[i] ** j:
+            j += 1
+        first_prune[i] = j
+    index = {n: i for i, n in enumerate(active)}
+    member_rows = act_rows.tolist()
+
+    def member(node):
+        m = index.get(node)
+        if m is None:
+            m = index[node] = len(member_rows)
+            member_rows.append(tables[node]._row)
+        return m
+
+    sources = [[] for _ in active]
+    readers = [[] for _ in active]
+    seen = [0] * n_active
+    last = [-1] * n_active
+    prune_round = [-1] * n_active
+    schedule = []
+    for k, pair in enumerate(pairs):
+        base = need.get(k)
+        for slot in (0, 1):
+            n = pair[slot]
+            i = index.get(n, n_active)
+            if i >= n_active:
+                continue
+            s = seen[i] = seen[i] + 1
+            stash = s > 1
+            peers = [pair[1 - slot]]
+            if not stash:
+                for link in router.world.open_links(n):
+                    peer = link.b if link.a == n else link.a
+                    peers.append(peer)
+                    if first.get(peer, k) < k:
+                        stash = True
+            for peer in peers:
+                m = member(peer)
+                sources[i].append(m)
+                if m < n_active and first_prune[m]:
+                    readers[i].append(m)
+            r = last[i] + 1
+            for q in readers[i]:
+                if prune_round[q] >= r:
+                    r = prune_round[q] + 1
+            last[i] = r
+            if first_prune[i] and s >= first_prune[i]:
+                prune_round[i] = r
+            if r == len(schedule):
+                schedule.append(([], [], [], []))
+            schedule[r][stash].append((i, len(sources[i]), pair, slot))
+            if base is not None:
+                schedule[r][2].append(base + slot)
+                schedule[r][3].append(i)
+            rounds[pair, slot] = r
+            stashed[pair, slot] = stash
+    members = store._p[member_rows]
+    for now_sides, stash_sides, handed, outputs in schedule:
+        flat, starts = [], []
+        for i, n_read, _, _ in now_sides + stash_sides:
+            starts.append(len(flat))
+            flat.extend(sources[i][:n_read])
+        masks = np.bitwise_or.reduceat(
+            members[flat].view(np.uint64), starts, axis=0
+        ).view(bool)
+        split = len(now_sides)
+        if now_sides:
+            idx = [side[0] for side in now_sides]
+            sW[idx], sL[idx], members[idx] = store.batch_decay(
+                act_rows[idx], masks[:split], now, beta=router.beta
+            )
+        if stash_sides:
+            idx = [side[0] for side in stash_sides]
+            block = store._decay_block(
+                sW[idx], sD[idx], members[idx], sL[idx], masks[split:],
+                now, router.beta, 1e-3,
+            )
+            sW[idx], sL[idx], members[idx] = block[:3]
+            for (_, _, pair, slot), side in zip(stash_sides, zip(*block)):
+                planned[pair][slot] = side
+        if handed:
+            side_rows[handed] = sW[outputs]
+    return rounds, stashed, side_rows
+
+
+def _reference_growth(router, links):
+    """Growth rounds as the per-link loop assigned them; runs them.
+
+    Returns each non-zero-duration link's round, in close order."""
+    now = router.world.now
+    last_round, schedule, rounds = {}, [], []
+    for link in links:
+        clipped = min(now - link.opened_at, router.growth_elapsed_cap)
+        if clipped <= 0.0:
+            continue
+        r = max(last_round.get(link.a, -1), last_round.get(link.b, -1)) + 1
+        last_round[link.a] = last_round[link.b] = r
+        rounds.append(r)
+        if r == len(schedule):
+            schedule.append(([], [], []))
+        schedule[r][0].append(router.table(link.a)._row)
+        schedule[r][1].append(router.table(link.b)._row)
+        schedule[r][2].append(clipped)
+    for rows_a, rows_b, effective in schedule:
+        router._store.batch_grow_pairs(
+            np.array(rows_a), np.array(rows_b), np.array(effective), now,
+            growth_scale=router.growth_scale,
+        )
+    return rounds
+
+
+class _Closed:
+    """A closed link as ``contact_end_batch`` reads it."""
+
+    def __init__(self, a, b, opened_at):
+        self.a, self.b, self.opened_at = a, b, opened_at
+        self.pair = (a, b)
+
+
+def _assert_same_router(batched, reference, nodes):
+    """Equal store arrays (absent cells too), versions and records."""
+    for name in ("_w", "_d", "_l", "_p"):
+        assert np.array_equal(
+            getattr(batched._store, name), getattr(reference._store, name)
+        ), name
+    for node in nodes:
+        a, b = batched._tables.get(node), reference._tables.get(node)
+        assert (a is None) == (b is None), node
+        if a is not None:
+            assert a._row == b._row, node
+            assert (a.version, a._members_version, a._stamped) == (
+                b.version, b._members_version, b._stamped
+            ), node
+
+
+def _same_side(a, b):
+    if a is None or b is None:
+        return a is b
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@st.composite
+def plan_ticks(draw):
+    """One up tick, then the close of its pairs.
+
+    Nodes repeat across pairs; some have links open at tick start, some
+    tables are created by the tick itself, some are fully stamped (no
+    cell older than the tick), and seeded transients near the prune
+    threshold and long stale make sides that may prune.
+    """
+    n_nodes = draw(st.integers(min_value=4, max_value=9))
+    pairs = [(a, b) for a in range(n_nodes) for b in range(a + 1, n_nodes)]
+    interests = [
+        draw(st.lists(st.sampled_from(_KEYWORDS), max_size=2, unique=True))
+        for _ in range(n_nodes)
+    ]
+    tick = draw(st.lists(
+        st.sampled_from(pairs), min_size=2, max_size=10, unique=True,
+    ))
+    nodes = [node for pair in tick for node in pair]
+    assume(len(set(nodes)) < len(nodes))
+    start = draw(st.lists(
+        st.sampled_from([pair for pair in pairs if pair not in tick]),
+        max_size=5, unique=True,
+    )) if len(tick) < len(pairs) else []
+    tabled = sorted(
+        {n for pair in start for n in pair}
+        | set(draw(st.lists(st.integers(0, n_nodes - 1), max_size=n_nodes)))
+    )
+    seeds = draw(st.lists(
+        st.tuples(
+            st.sampled_from(tabled) if tabled else st.nothing(),
+            st.sampled_from(_KEYWORDS),
+            st.sampled_from((2e-4, 6e-4, 1.5e-3, 4e-3, 0.05, 0.4)),
+            st.sampled_from((0.0, 400.0, 900.0, 990.0, 1_000.0)),
+        ),
+        max_size=16 if tabled else 0,
+    ))
+    sources = draw(st.lists(
+        st.integers(min_value=0, max_value=n_nodes - 1), max_size=3,
+    ))
+    opened = draw(st.lists(
+        st.sampled_from((1_000.0, 999.0, 700.0, 0.0)),
+        min_size=len(tick), max_size=len(tick),
+    ))
+    return n_nodes, interests, start, tabled, tick, seeds, sources, opened
+
+
+def _plan_world(router, n_nodes, interests, start, tabled, seeds, sources):
+    """A world at ``t = 1000`` just before the tick."""
+    world = World(
+        Engine(), [Node(i, interests[i]) for i in range(n_nodes)], router,
+        link_speed=1_000.0, streams=RandomStreams(7),
+    )
+    for node in tabled:
+        router.table(node)
+    for i, source in enumerate(sources):
+        world.inject_message(make_message(
+            source=source, size=100, keywords=("k0",), uuid=f"p{i}",
+        ))
+    if start:
+        world._run_up_batch(start)
+    world.engine.run_until(1_000.0)
+    for node, keyword, weight, last_contact in seeds:
+        _seed_transient(router.table(node), keyword, weight, last_contact)
+    return world
+
+
+@given(plan_ticks())
+@settings(max_examples=250, deadline=None)
+def test_array_planner_matches_per_side_loop(scenario):
+    """Equal rounds, stash decisions, stores, stashes, records and
+    selection rows for every side of the tick, then equal growth rounds
+    and states for the close of its pairs."""
+    n_nodes, interests, start, tabled, tick, seeds, sources, opened = scenario
+    setup = (n_nodes, interests, start, tabled, seeds, sources)
+    batched, reference = ChitChatRouter(), ChitChatRouter()
+    _plan_world(batched, *setup)
+    _plan_world(reference, *setup)
+    captured = {}
+    solve, select = chitchat._rounds, ChitChatRouter._select_sides
+
+    def solved(lower, src, dst):
+        captured.setdefault("rounds", solve(lower, src, dst))
+        return captured["rounds"]
+
+    def selecting(router, sides, weights, *rows):
+        captured["side_rows"] = weights.copy()
+        return select(router, sides, weights, *rows)
+
+    with mock.patch.object(chitchat, "_rounds", solved), mock.patch.object(
+        ChitChatRouter, "_select_sides", selecting
+    ):
+        batched.prepare_contact_batch(tick)
+    rounds, stashed, side_rows = _reference_plan(reference, tick)
+    ordinal = {}
+    for (pair, slot) in rounds:
+        ordinal[pair[slot]] = ordinal.get(pair[slot], -1) + 1
+        if rounds[pair, slot] > ordinal[pair[slot]]:
+            event("a may-prune peer delays a side")
+        if stashed[pair, slot] and not ordinal[pair[slot]]:
+            event("an open peer stashes a first side")
+    assert captured.get("rounds", np.empty(0)).tolist() == list(
+        rounds.values()
+    )
+    assert {
+        key for key in rounds if batched._planned[key[0]][key[1]] is not None
+    } == {key for key, stash in stashed.items() if stash}
+    assert batched._planned.keys() == reference._planned.keys()
+    for pair, sides in reference._planned.items():
+        assert all(map(_same_side, batched._planned[pair], sides)), pair
+    if "side_rows" in captured:
+        assert np.array_equal(captured["side_rows"], side_rows)
+    _assert_same_router(batched, reference, range(n_nodes))
+    links = [_Closed(a, b, t) for (a, b), t in zip(tick, opened)]
+    captured.clear()
+    with mock.patch.object(chitchat, "_rounds", solved):
+        batched.contact_end_batch(links)
+    growth = _reference_growth(reference, links)
+    if "rounds" in captured:
+        assert captured["rounds"].tolist() == growth
+    _assert_same_router(batched, reference, range(n_nodes))
+
+
+@st.composite
+def star_closes(draw):
+    """A forced disconnect: 1-12 links of one hub closing in order.
+
+    Some links have zero duration; the hub and its peers hold direct
+    and transient cells, and each side lacks cells the other holds.
+    """
+    n_peers = draw(st.integers(min_value=1, max_value=12))
+    interests = [
+        draw(st.lists(st.sampled_from(_KEYWORDS), max_size=2, unique=True))
+        for _ in range(n_peers + 1)
+    ]
+    seeds = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=n_peers),
+            st.sampled_from(_KEYWORDS),
+            st.floats(min_value=1e-3, max_value=1.0),
+        ),
+        max_size=3 * n_peers,
+    ))
+    hub = draw(st.integers(min_value=0, max_value=n_peers))
+    peers = draw(st.permutations([n for n in range(n_peers + 1) if n != hub]))
+    opened = draw(st.lists(
+        st.sampled_from((1_000.0, 999.5, 900.0, 0.0)),
+        min_size=n_peers, max_size=n_peers,
+    ))
+    return interests, seeds, hub, peers, opened
+
+
+@given(star_closes())
+@settings(max_examples=200, deadline=None)
+def test_star_growth_matches_per_pair_growth(scenario):
+    """A batch of links sharing one node grows bit-identically to
+    per-pair ``run_rtsr_growth`` in close order, versions included."""
+    interests, seeds, hub, peers, opened = scenario
+    routers = ChitChatRouter(), ChitChatRouter()
+    for router in routers:
+        world = World(
+            Engine(), [Node(i, keys) for i, keys in enumerate(interests)],
+            router, streams=RandomStreams(7),
+        )
+        world.engine.run_until(1_000.0)
+        for node in range(len(interests)):
+            router.table(node)
+        for node, keyword, weight in seeds:
+            _seed_transient(router.table(node), keyword, weight, 500.0)
+    links = [
+        _Closed(min(hub, peer), max(hub, peer), t)
+        for peer, t in zip(peers, opened)
+    ]
+    batched, reference = routers
+    batched.contact_end_batch(links)
+    for link in links:
+        reference.run_rtsr_growth(link, 1_000.0 - link.opened_at)
+    _assert_same_router(batched, reference, range(len(interests)))
 
 
 # ----------------------------------------------------------------------

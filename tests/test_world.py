@@ -66,6 +66,20 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="id 0 is missing"):
             _world({1: [], 3: [], 5: []})
 
+    def test_nan_battery_capacity_rejected(self):
+        with pytest.raises(ConfigurationError, match="battery_capacity"):
+            World(
+                Engine(), [Node(0, [])], EpidemicRouter(),
+                battery_capacity=float("nan"),
+            )
+
+    def test_infinite_battery_capacity_accepted(self):
+        world = World(
+            Engine(), [Node(0, []), Node(1, [])], EpidemicRouter(),
+            battery_capacity=float("inf"),
+        )
+        assert world.battery_level(1) == float("inf")
+
     def test_invalid_link_speed_rejected(self):
         with pytest.raises(ConfigurationError):
             World(Engine(), [Node(0, [])], EpidemicRouter(), link_speed=0.0)

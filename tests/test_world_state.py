@@ -37,6 +37,20 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             WorldState(2, battery_capacity=0.0)
 
+    @pytest.mark.parametrize("capacity", [
+        float("nan"), np.array([5.0, float("nan"), 1.0]),
+    ])
+    def test_nan_battery_rejected(self, capacity):
+        # NaN passes a ``<= 0`` test; it would stay NaN through recharge.
+        with pytest.raises(ConfigurationError, match="battery_capacity"):
+            WorldState(3, battery_capacity=capacity)
+
+    def test_infinite_battery_is_mains_power(self):
+        state = WorldState(2, battery_capacity=float("inf"))
+        state.battery[:] = [1.0, 2.0]
+        state.recharge(3.0)
+        assert state.battery.tolist() == [4.0, 5.0]
+
 
 class TestAccumulationOrder:
     @given(amount=finite_floats)
