@@ -71,7 +71,10 @@ class Node:
         Per ChitChat, a device with a direct interest in a message's
         keywords is a *destination* for it.
         """
-        return bool(self.interests & message.keywords)
+        # The keyword tuple, not the frozenset: routers' memo keys build
+        # the tuple on every received copy anyway, and a frozenset per
+        # copy adds about 7 MB to the paper workload's peak RSS.
+        return not self.interests.isdisjoint(message.keyword_sequence)
 
     def matching_interests(self, message: Message) -> FrozenSet[str]:
         """Direct interests that appear among the message's tags."""

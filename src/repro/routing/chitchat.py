@@ -11,7 +11,9 @@ specified in Paper I Sections 2.2-2.4:
 * Messages route by interest strength: ``u`` forwards message ``M`` to
   ``v`` when ``S_v > S_u`` where ``S_x`` is the sum of ``x``'s weights
   over ``M``'s keywords; a node with a *direct* interest in a tag is a
-  destination and always receives the message.
+  destination and always receives the message.  That test reads the
+  node's subscriptions (``Router.classify``): a table's direct cells
+  equal them for the whole run (DESIGN.md section 9).
 
 Ambiguities resolved here (see DESIGN.md section 4): the decay
 denominator is clamped to >= 1 so decay never amplifies a weight; the
@@ -129,6 +131,9 @@ class KeywordIndex:
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
+#: Transient weights decayed below this are pruned.  The batched decay
+#: relies on it being under 0.5, where direct weights stop.
+_PRUNE_BELOW = 1e-3
 #: Pads ``ChitChatRouter._key_ids`` rows: past every store column.
 _PAD = np.iinfo(np.int64).max
 #: A receiver's role, indexed by "holds a direct interest".
@@ -331,16 +336,6 @@ class InterestTable:
             total += weight
         return total
 
-    def any_direct_ids(self, ids: np.ndarray) -> bool:
-        """Whether any of the pre-resolved ids is a direct interest."""
-        capacity = self._present.size
-        valid = ids[ids < capacity]
-        if valid.size == 0:
-            return False
-        # ndarray.any() rather than np.any(): the module-level wrapper's
-        # dispatch overhead is measurable at hot-path call counts.
-        return bool((self._present[valid] & self._direct[valid]).any())
-
     def average_for(self, keywords: Iterable[str]) -> float:
         """Average weight over ``keywords`` (0 for an empty set)."""
         keys = list(keywords)
@@ -402,7 +397,7 @@ class InterestTable:
         connected_keywords: Union[Set[str], np.ndarray],
         *,
         beta: float,
-        prune_below: float = 1e-3,
+        prune_below: float = _PRUNE_BELOW,
     ) -> None:
         """Decay all weights per Algorithm 1 (vectorised).
 
@@ -460,8 +455,8 @@ class InterestTable:
         stale = elapsed > 0.0
         if not stale.any():
             # Nothing decayed and nothing was pruned, so every memoised
-            # sum/classification keyed on :attr:`version` is still
-            # exact — the version deliberately does NOT move.
+            # sum keyed on :attr:`version` is still exact — the version
+            # deliberately does NOT move.
             self._stamped = (now, self.version, self._members_version)
             return
         self.version += 1
@@ -723,17 +718,17 @@ class InterestStore:
         connected: np.ndarray,
         now: float,
         beta: float,
-        prune_below: float,
     ) -> Tuple[
         np.ndarray, np.ndarray, np.ndarray, List[bool], List[bool], List[bool]
     ]:
         """Algorithm 1 over a block of rows, computed without writing.
 
         ``W``/``D``/``P``/``L`` are the rows' weights, direct and
-        present flags and ``T_l``.  Returns the decayed ``(weights,
-        last, present)`` arrays, then three lists saying per row
-        whether it divided a cell, pruned a row and was left fully
-        stamped (no present cell with ``T_l < now``).
+        present flags and ``T_l``; transients under ``_PRUNE_BELOW``
+        are pruned.  Returns the decayed ``(weights, last, present)``
+        arrays, then three lists saying per row whether it divided a
+        cell, pruned a row and was left fully stamped (no present cell
+        with ``T_l < now``).
         """
         L = np.where(connected, now, L)
         # In place, but each element still sees ``(w - half) /
@@ -744,13 +739,15 @@ class InterestStore:
         denominator *= beta
         np.maximum(denominator, 1.0, out=denominator)
         half = D * 0.5
+        # Computed on every cell: by the store's invariants (DESIGN.md
+        # §9) a cell that is not stale comes back exactly as ``W``, and
+        # a direct cell decays to at least 0.5, so never under the
+        # prune threshold.
         new_w = W - half
         new_w /= denominator
         new_w += half
-        prune = new_w < prune_below
+        prune = new_w < _PRUNE_BELOW
         prune &= stale
-        prune &= ~D
-        np.copyto(new_w, W, where=~stale)
         new_w[prune] = 0.0
         divided = stale.any(axis=1).tolist()
         stale ^= prune
@@ -766,7 +763,6 @@ class InterestStore:
         now: float,
         *,
         beta: float,
-        prune_below: float = 1e-3,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Algorithm 1 over many store rows at once.
 
@@ -777,14 +773,13 @@ class InterestStore:
                 read by the caller (so rows may be each other's peers).
             now: Current time ``T_c``.
             beta: Decay constant.
-            prune_below: Transient prune threshold.
 
         Returns:
             ``(weights, last, present)``: the rows as written.
 
         Per element this evaluates exactly the per-table expression
         (stamp connected ``T_l`` first, ``(w - half)/max(beta·dt, 1) +
-        half``, prune transients below the threshold), so the floats
+        half``, prune transients below ``_PRUNE_BELOW``), so the floats
         are bit-identical to ``InterestTable.decay``, and the versions
         and fully-stamped records move the same way.  The up tick's
         planner runs :meth:`_decay_block` and :meth:`_write_decayed`
@@ -792,7 +787,7 @@ class InterestStore:
         """
         block = self._decay_block(
             self._w[rows], self._d[rows], self._p[rows], self._l[rows],
-            connected, now, beta, prune_below,
+            connected, now, beta,
         )
         self._write_decayed(rows, now, *block)
         return block[:3]
@@ -874,22 +869,21 @@ class InterestStore:
         delta *= eff
         delta /= psi
         active = delta > 0.0
-        fresh = active & ~P
-        new_w = W + delta
-        np.minimum(new_w, 1.0, out=new_w)
+        # ``min(W + delta, 1)`` is every cell's result under the store's
+        # invariants (DESIGN.md §9): an acquired cell adds to an absent
+        # cell's exact 0.0, an inactive one adds 0.0 to a weight that is
+        # never -0.0 and at most 1, and no acquired cell is direct.
+        delta += W
         np.minimum(delta, 1.0, out=delta)
-        np.copyto(new_w, delta, where=fresh)
-        np.copyto(new_w, W, where=~active)
-        self._w[rows] = new_w
-        self._d[rows] = D & ~fresh
+        self._w[rows] = delta
         last = self._l[rows]
         last[active] = now
         self._l[rows] = last
-        self._p[rows] = P | fresh
+        self._p[rows] = P | active
         tables = self._tables
         for row in rows[active.any(axis=1)].tolist():
             tables[row].version += 1
-        for row in rows[fresh.any(axis=1)].tolist():
+        for row in rows[(active & ~P).any(axis=1)].tolist():
             tables[row]._members_version += 1
 
 
@@ -1006,16 +1000,12 @@ class ChitChatRouter(Router):
         # that re-originates a uuid after churn starts with a fresh
         # budget (see on_message_expired / _prune_retries).
         self._retry_counts: Dict[str, Dict[int, int]] = {}
-        # Memoised interest sums and destination/relay roles: node id ->
-        # (table version at compute time, {memo key -> S},
-        # {memo key -> role}).  A node's whole cache is discarded the
+        # Memoised interest sums: node id -> (table version at compute
+        # time, {memo key -> S}).  A node's whole cache is discarded the
         # moment its table version moves on, so decay, growth and
-        # subscriptions invalidate every dependent sum and
-        # classification at once (see InterestTable.version).
-        self._sum_cache: Dict[
-            int,
-            Tuple[int, Dict[int, float], Dict[int, str]],
-        ] = {}
+        # subscriptions invalidate every dependent sum at once (see
+        # InterestTable.version).
+        self._sum_cache: Dict[int, Tuple[int, Dict[int, float]]] = {}
 
     # ------------------------------------------------------------------
     # RTSR state
@@ -1067,7 +1057,7 @@ class ChitChatRouter(Router):
             table = self.table(node_id)
         cached = self._sum_cache.get(node_id)
         if cached is None or cached[0] != table.version:
-            cached = (table.version, {}, {})
+            cached = (table.version, {})
             self._sum_cache[node_id] = cached
         sums = cached[1]
         key = message._memo_key
@@ -1181,36 +1171,6 @@ class ChitChatRouter(Router):
     # ------------------------------------------------------------------
     # Routing decisions
     # ------------------------------------------------------------------
-    def classify(self, receiver_id: int, message: Message) -> str:
-        """Operator *DecideDestOrRelay*: ``"destination"`` or ``"relay"``.
-
-        A device with a *direct* interest in any tag is a destination;
-        one with only transient interest is a relay candidate.
-
-        Memoised alongside :meth:`interest_sum` (same version-keyed
-        cache): a contact classifies every buffered message against the
-        same table, and the answer only changes when the table does.
-        """
-        table = self._tables.get(receiver_id)
-        if table is None:
-            table = self.table(receiver_id)
-        cached = self._sum_cache.get(receiver_id)
-        if cached is None or cached[0] != table.version:
-            cached = (table.version, {}, {})
-            self._sum_cache[receiver_id] = cached
-        roles = cached[2]
-        key = message._memo_key
-        if key is None:
-            key = self._intern_key(message)
-        role = roles.get(key)
-        if role is None:
-            if table.any_direct_ids(self._message_ids(message, key)):
-                role = "destination"
-            else:
-                role = "relay"
-            roles[key] = role
-        return role
-
     def wants_as_relay(
         self, sender_id: int, receiver_id: int, message: Message
     ) -> bool:
@@ -1246,21 +1206,19 @@ class ChitChatRouter(Router):
                 [(sender_id, receiver_id)], self._store._w,
                 np.array([row_s]), np.array([row_r]),
             )[0]
-        offers, keys, sums_r, roles_r, sums_s = stored
+        offers, keys, sums_r, sums_s = stored
         if keys:
-            memo = self._memo(receiver_id)
-            memo[1].update(zip(keys, sums_r))
-            memo[2].update(zip(keys, roles_r))
-            self._memo(sender_id)[1].update(zip(keys, sums_s))
+            self._memo(receiver_id).update(zip(keys, sums_r))
+            self._memo(sender_id).update(zip(keys, sums_s))
         return offers
 
-    def _memo(self, node_id: int) -> tuple:
-        """``node_id``'s memo entry for its table's current version."""
+    def _memo(self, node_id: int) -> Dict[int, float]:
+        """``node_id``'s memoised sums for its table's current version."""
         version = self._tables[node_id].version
         cached = self._sum_cache.get(node_id)
         if cached is None or cached[0] != version:
-            cached = self._sum_cache[node_id] = (version, {}, {})
-        return cached
+            cached = self._sum_cache[node_id] = (version, {})
+        return cached[1]
 
     def _select_sides(
         self,
@@ -1281,7 +1239,7 @@ class ChitChatRouter(Router):
         add ``+0.0``, so each sum equals ``sum_for_ids`` bit for bit.
         Kept: destinations, then relays with ``S_receiver > S_sender``,
         each by ``(-S_receiver, uuid)``.  Returns per side ``(offers,
-        keys, receiver sums, receiver roles, sender sums)``.
+        keys, receiver sums, sender sums)``.
         """
         node = self.world.node
         entries = self._entries
@@ -1345,7 +1303,7 @@ class ChitChatRouter(Router):
             offers[side].append((candidates[c], roles[c]))
         ends = np.cumsum(counts).tolist()
         return [
-            (offers[j], keys[a:b], sums_r[a:b], roles[a:b], sums_s[a:b])
+            (offers[j], keys[a:b], sums_r[a:b], sums_s[a:b])
             for j, (a, b) in enumerate(zip([0] + ends, ends))
         ]
 
@@ -1585,7 +1543,7 @@ class ChitChatRouter(Router):
                 idx = ra[lo:hi]
                 block = store._decay_block(
                     sW[idx], sD[idx], members[idx], sL[idx],
-                    masks[lo - b0:hi - b0], now, beta, 1e-3,
+                    masks[lo - b0:hi - b0], now, beta,
                 )
                 sW[idx], sL[idx], members[idx] = block[:3]
                 if hi == b1:
@@ -1625,7 +1583,7 @@ class ChitChatRouter(Router):
         ``run_rtsr_growth`` — so the result is bit-identical.  At paper
         densities almost every pair lands in round zero; a forced
         disconnect's links all share the crashed node, so each takes a
-        round of its own.
+        round of its own (found in one relaxation pass).
         """
         store = self._store
         now = self.world.now
@@ -1646,9 +1604,18 @@ class ChitChatRouter(Router):
         nodes = ends.ravel()
         rows = self._rows(nodes).reshape(-1, 2)
         by_node = np.argsort(nodes, kind="stable")
-        again = 1 + np.flatnonzero(np.diff(nodes[by_node]) == 0)
+        again = np.diff(nodes[by_node]) == 0
+        # A link's round is at least its ordinal among either endpoint's
+        # links; starting there, a forced disconnect's star of links
+        # settles in one relaxation pass.
+        pos = np.arange(nodes.size)
+        o = np.empty_like(pos)
+        o[by_node] = pos - np.maximum.accumulate(
+            np.where(np.r_[True, ~again], pos, 0)
+        )
+        again = 1 + np.flatnonzero(again)
         r = _rounds(
-            np.zeros(kept.size, dtype=np.intp),
+            o.reshape(-1, 2).max(axis=1),
             by_node[again - 1] >> 1, by_node[again] >> 1,
         )
         order = np.argsort(r, kind="stable")

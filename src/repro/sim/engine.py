@@ -5,6 +5,10 @@ deliberately small: everything domain-specific (contacts, transfers,
 message generation) is expressed as scheduled callbacks, exactly as in
 event-driven network simulators such as ONE or ns-3.
 
+Heap entries are ``(time, priority, sequence, event)`` tuples, so the
+heap orders them with C tuple comparisons; sequences are unique, so the
+event itself is never compared.
+
 Cancellation is lazy (cancelled events are skipped when popped), but the
 engine compacts the heap whenever cancelled events outnumber live ones —
 retransmission backoff under fault injection can otherwise litter the
@@ -32,6 +36,9 @@ from repro.trace.recorder import NULL_RECORDER, TraceRecorder
 
 __all__ = ["Engine"]
 
+#: A heap entry: ``(time, priority, sequence, event)``.
+_Entry = Tuple[float, int, int, Event]
+
 
 class Engine:
     """A deterministic discrete-event simulation engine.
@@ -49,7 +56,7 @@ class Engine:
         if not math.isfinite(start_time):
             raise SchedulingError(f"start_time must be finite, got {start_time!r}")
         self._now = float(start_time)
-        self._queue: List[Event] = []
+        self._queue: List[_Entry] = []
         self._sequence = 0
         self._running = False
         self._events_fired = 0
@@ -118,15 +125,17 @@ class Engine:
                 f"cannot schedule {resolve_label(label) or 'event'!r} "
                 f"at t={time:.6f}, clock is already at t={self._now:.6f}"
             )
+        time = float(time)
+        sequence = self._sequence
         event = Event(
-            time=float(time),
+            time=time,
             priority=priority,
-            sequence=self._sequence,
+            sequence=sequence,
             callback=callback,
             label=label,
         )
-        self._sequence += 1
-        heapq.heappush(self._queue, event)
+        self._sequence = sequence + 1
+        heapq.heappush(self._queue, (time, priority, sequence, event))
         return EventHandle(event, self)
 
     def schedule_in(
@@ -169,7 +178,7 @@ class Engine:
         """
         now = self._now
         sequence = self._sequence
-        events: List[Event] = []
+        events: List[_Entry] = []
         try:
             for time, callback, priority, label in items:
                 if not math.isfinite(time) or time < now:
@@ -178,13 +187,14 @@ class Engine:
                         f"{resolve_label(label) or 'event'!r} at "
                         f"t={time!r}, clock is at t={now:.6f}"
                     )
-                events.append(Event(
-                    time=float(time),
+                time = float(time)
+                events.append((time, priority, sequence, Event(
+                    time=time,
                     priority=priority,
                     sequence=sequence,
                     callback=callback,
                     label=label,
-                ))
+                )))
                 sequence += 1
         finally:
             # Keep sequences unique even when a bad item aborts the load
@@ -215,7 +225,7 @@ class Engine:
         ``(time, priority, sequence)`` (sequence is unique), so any heap
         over the same live set pops in the same order.
         """
-        live = [event for event in self._queue if not event.cancelled]
+        live = [entry for entry in self._queue if not entry[3].cancelled]
         if len(live) != len(self._queue):
             heapq.heapify(live)
             self._queue = live
@@ -229,7 +239,7 @@ class Engine:
             ``True`` if an event fired, ``False`` if the queue was empty.
         """
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 if self._cancelled_pending:
                     self._cancelled_pending -= 1
@@ -269,10 +279,9 @@ class Engine:
         try:
             queue = self._queue
             while queue:
-                event = queue[0]
-                if event.time > end_time:
+                if queue[0][0] > end_time:
                     break
-                heapq.heappop(queue)
+                event = heapq.heappop(queue)[3]
                 if event.cancelled:
                     if self._cancelled_pending:
                         self._cancelled_pending -= 1

@@ -1,9 +1,9 @@
 """Event primitives for the discrete-event engine.
 
 An :class:`Event` couples a firing time with a zero-argument callback.
-Events are ordered by ``(time, priority, sequence)`` so that simultaneous
-events fire in a deterministic order: lower ``priority`` first, then
-insertion order.  Determinism matters here because the paper's experiments
+The engine fires events in ``(time, priority, sequence)`` order (its heap
+holds those keys beside each event) so that simultaneous events fire in
+a deterministic order: lower ``priority`` first, then insertion order.  Determinism matters here because the paper's experiments
 are averages over seeded runs, and a nondeterministic queue would make runs
 irreproducible.
 
@@ -30,7 +30,7 @@ def resolve_label(label: LabelLike) -> str:
     return label() if callable(label) else label
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """A scheduled callback.
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.messages.message import Message, Priority
 from repro.mobility.trace import Contact, ContactTrace
 from repro.network.node import Node
@@ -85,3 +87,25 @@ def contact(start: float, end: float, a: int, b: int) -> Contact:
 def trace_of(*contacts: Contact) -> ContactTrace:
     """Shorthand trace constructor."""
     return ContactTrace(contacts)
+
+
+def assert_store_invariants(store) -> None:
+    """The interest store invariants the batched decay and growth rely on.
+
+    Over every table row of ``store`` (an ``InterestStore``): absent cells
+    hold exactly ``0.0``; present weights lie in ``(0, 1]``; direct cells
+    are present with weight at least 0.5; and no weight is ``-0.0``.
+    """
+    rows = len(store)
+    weights = store._w[:rows]
+    present = store._p[:rows]
+    direct = store._d[:rows]
+    absent = weights[~present]
+    assert not absent.any(), "an absent cell holds a weight"
+    kept = weights[present]
+    assert (kept > 0.0).all() and (kept <= 1.0).all(), (
+        "a present weight is outside (0, 1]"
+    )
+    assert not (direct & ~present).any(), "a direct cell is absent"
+    assert (weights[direct] >= 0.5).all(), "a direct weight is under 0.5"
+    assert not np.signbit(weights).any(), "a weight is -0.0"

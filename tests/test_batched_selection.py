@@ -472,7 +472,7 @@ def _reference_plan(router, pairs):
             idx = [side[0] for side in stash_sides]
             block = store._decay_block(
                 sW[idx], sD[idx], members[idx], sL[idx], masks[split:],
-                now, router.beta, 1e-3,
+                now, router.beta,
             )
             sW[idx], sL[idx], members[idx] = block[:3]
             for (_, _, pair, slot), side in zip(stash_sides, zip(*block)):
@@ -722,21 +722,22 @@ def test_star_growth_matches_per_pair_growth(scenario):
 # Selection kernel vs the per-message loop
 # ----------------------------------------------------------------------
 def _memo_of(router, node_id):
-    """``(sums, roles)`` memo entries for the table's current version."""
+    """Memoised sums for the table's current version."""
     version = router.table(node_id).version
     cached = router._sum_cache.get(node_id)
     if cached is None or cached[0] != version:
-        cached = router._sum_cache[node_id] = (version, {}, {})
-    return cached[1], cached[2]
+        cached = router._sum_cache[node_id] = (version, {})
+    return cached[1]
 
 
 def _reference_select(router, sender_id, receiver_id):
     """The per-message selection loop the kernel replaced.
 
     Each candidate (unseen, fits the receiver's buffer) fills its cold
-    memo entries from ``sum_for_ids`` / ``any_direct_ids``; the offers
-    are the destinations, then the relays with ``S_r > S_s``, each by
-    ``(-S_r, uuid)``.
+    memo entries from ``sum_for_ids``, and is a destination when the
+    receiver's table holds one of its keywords as a direct cell; the
+    offers are the destinations, then the relays with ``S_r > S_s``,
+    each by ``(-S_r, uuid)``.
     """
     sender = router.world.node(sender_id)
     if len(sender.buffer) == 0:
@@ -744,8 +745,8 @@ def _reference_select(router, sender_id, receiver_id):
     receiver = router.world.node(receiver_id)
     table_r = router.table(receiver_id)
     table_s = router.table(sender_id)
-    sums_r, roles_r = _memo_of(router, receiver_id)
-    sums_s, _ = _memo_of(router, sender_id)
+    sums_r = _memo_of(router, receiver_id)
+    sums_s = _memo_of(router, sender_id)
     destinations, relays = [], []
     for message in sender.buffer.messages():
         if receiver.has_seen(message.uuid):
@@ -756,15 +757,12 @@ def _reference_select(router, sender_id, receiver_id):
         if key is None:
             key = router._intern_key(message)
         ids = router._message_ids(message, key)
-        if key not in sums_r or key not in roles_r:
+        if key not in sums_r:
             sums_r[key] = table_r.sum_for_ids(ids)
-            roles_r[key] = (
-                "destination" if table_r.any_direct_ids(ids) else "relay"
-            )
         if key not in sums_s:
             sums_s[key] = table_s.sum_for_ids(ids)
         strength = sums_r[key]
-        if roles_r[key] == "destination":
+        if any(map(table_r.is_direct, message.keywords)):
             destinations.append((strength, message))
         elif strength > sums_s[key]:
             relays.append((strength, message))
@@ -794,7 +792,7 @@ class _LoggedBatched(ChitChatRouter):
         self.log.append((
             (sender_id, receiver_id),
             [(message.uuid, role) for message, role in offers],
-            _typed(memo_s[0]), _typed(memo_r[0]), memo_r[1],
+            _typed(memo_s), _typed(memo_r),
         ))
         return offers
 

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.helpers import contact, make_message, make_world, trace_of
+from repro.core.operators import Operators
 from repro.errors import ConfigurationError
 from repro.routing.chitchat import (
     ChitChatRouter,
@@ -222,6 +225,90 @@ class TestRouterClassification:
             ChitChatRouter(growth_scale=0.0)
         with pytest.raises(ConfigurationError):
             ChitChatRouter(growth_elapsed_cap=0.0)
+
+
+_CLASSIFY_KEYWORDS = ("k0", "k1", "k2", "k3")
+
+
+@st.composite
+def classify_runs(draw):
+    """Node subscriptions and a sequence of table-changing operations:
+    up and down ticks (decay, growth), waits, churn wipes, subscriptions
+    and message enrichment."""
+    n_nodes = draw(st.integers(min_value=3, max_value=5))
+    interests = [
+        draw(st.lists(
+            st.sampled_from(_CLASSIFY_KEYWORDS), max_size=2, unique=True,
+        ))
+        for _ in range(n_nodes)
+    ]
+    pairs = [(a, b) for a in range(n_nodes) for b in range(a + 1, n_nodes)]
+    nodes = st.integers(min_value=0, max_value=n_nodes - 1)
+    keywords = st.sampled_from(_CLASSIFY_KEYWORDS)
+    ticks = st.lists(st.sampled_from(pairs), min_size=1, max_size=4,
+                     unique=True)
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("up"), ticks),
+        st.tuples(st.just("down"), ticks),
+        st.tuples(st.just("wait"), st.sampled_from((1.0, 60.0, 900.0))),
+        st.tuples(st.just("wipe"), nodes),
+        st.tuples(st.just("subscribe"), nodes, keywords),
+        st.tuples(st.just("enrich"), st.integers(0, 2), keywords),
+    ), max_size=16))
+    return interests, ops
+
+
+class TestClassifyReadsSubscriptions:
+    """``classify`` reads the node's subscriptions, which equal its
+    table's direct cells for the whole run (DESIGN.md section 9)."""
+
+    def test_classify_creates_no_table(self):
+        router = ChitChatRouter()
+        make_world({0: ["flood"], 1: []}, router)
+        message = make_message(keywords=("flood", "fire"))
+        assert router.classify(0, message) == "destination"
+        assert router.classify(1, message) == "relay"
+        assert router._tables == {}
+
+    @given(classify_runs())
+    @settings(max_examples=100, deadline=None)
+    def test_classify_equals_tables_direct_cells(self, run):
+        interests, ops = run
+        router = ChitChatRouter()
+        world = make_world(dict(enumerate(interests)), router)
+        operators = Operators(router)
+        for node in range(len(interests)):
+            router.table(node)
+        messages = [
+            make_message(keywords=keywords, content=keywords)
+            for keywords in (("k0",), ("k1", "k2"), ())
+        ]
+
+        def check():
+            for node in range(len(interests)):
+                table = router._tables[node]
+                for message in messages:
+                    direct = any(map(table.is_direct, message.keywords))
+                    assert router.classify(node, message) == (
+                        "destination" if direct else "relay"
+                    ), (node, sorted(message.keywords))
+
+        check()
+        for op in ops:
+            kind = op[0]
+            if kind == "up":
+                world._run_up_batch(op[1])
+            elif kind == "down":
+                world._run_down_batch(op[1])
+            elif kind == "wait":
+                world.engine.run_until(world.now + op[1])
+            elif kind == "wipe":
+                world.on_node_crashed(op[1], wipe_state=True)
+            elif kind == "subscribe":
+                operators.subscribe(op[1], [op[2]])
+            else:
+                messages[op[1]].annotate(op[2], 1, world.now)
+            check()
 
 
 class TestRouterEndToEnd:

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MobilityError
-from repro.mobility.contact import ContactDetector, detect_contacts, pairs_in_range
+from repro.mobility.contact import (
+    ContactDetector,
+    detect_contacts,
+    pair_arrays,
+    pairs_in_range,
+)
 from repro.mobility.stationary import Stationary
 from repro.mobility.random_waypoint import RandomWaypoint
 
@@ -163,6 +168,57 @@ class TestPairsInRangeProperties:
         assert pairs_in_range(positions, radius) == brute_force_pairs(
             positions, radius
         )
+
+
+class TestCellListEdges:
+    """The two-range candidate search at the edges of its cell grid.
+
+    Node ``i``'s candidates are the rest of its cell plus the cell
+    above, then the next column's three cells; the guard row keeps both
+    runs inside their columns.  Pairs are compared as a sorted list, so
+    a pair found twice fails as well as a pair missed.
+    """
+
+    RADIUS = 10.0
+
+    @staticmethod
+    def _pairs(positions, radius):
+        node_a, node_b = pair_arrays(positions, radius)
+        return sorted(zip(node_a.tolist(), node_b.tolist()))
+
+    @pytest.mark.parametrize("shape", ["edge-rows", "one-row", "one-column"])
+    def test_matches_brute_force(self, shape):
+        rng = np.random.default_rng(11)
+        if shape == "edge-rows":
+            # Two adjacent columns, nodes in their bottom two and top two
+            # cell rows (rows 0-1 and 3-4): straight and diagonal
+            # neighbours across the column boundary, and a column's top
+            # row beside the next column's bottom row.
+            x = rng.uniform(0.0, 2 * self.RADIUS, 90)
+            y = np.concatenate((
+                rng.uniform(0.0, 2 * self.RADIUS, 45),
+                rng.uniform(3 * self.RADIUS, 5 * self.RADIUS, 45),
+            ))
+        elif shape == "one-row":
+            x = rng.uniform(0.0, 30 * self.RADIUS, 90)
+            y = rng.uniform(0.0, self.RADIUS, 90) * 0.999
+        else:
+            x = rng.uniform(0.0, self.RADIUS, 90) * 0.999
+            y = rng.uniform(0.0, 30 * self.RADIUS, 90)
+        positions = np.stack((x, y), axis=1)
+        expected = sorted(brute_force_pairs(positions, self.RADIUS))
+        assert expected
+        assert self._pairs(positions, self.RADIUS) == expected
+
+    def test_corner_neighbours(self):
+        # Four nodes around one cell corner, each in its own cell: every
+        # pair is a straight or diagonal neighbour, in both diagonals.
+        positions = np.array([
+            [9.5, 9.5], [10.5, 9.5], [9.5, 10.5], [10.5, 10.5],
+        ])
+        assert self._pairs(positions, self.RADIUS) == [
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+        ]
 
 
 class TestContactDetector:

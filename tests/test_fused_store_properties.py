@@ -3,11 +3,14 @@
 Two model-based equivalences back the tick-batched router state
 (DESIGN.md "Tick-batched router state"):
 
-* Random decay/growth/add_direct sequences applied to an
+* Random decay/growth/add_direct/wipe sequences applied to an
   :class:`~repro.routing.chitchat.InterestStore` through its batched
   operations, and to a second store one
   :class:`~repro.routing.chitchat.InterestTable` row at a time, produce
-  **bit-identical** weights, direct flags and membership.
+  **bit-identical** weights, direct flags and membership.  Every store
+  keeps the invariants the batched kernels rely on after every
+  operation, and a third store running reference kernels that rely on
+  none of them holds identical arrays and versions throughout.
 * Random rate/merge/exchange/forget sequences applied to the
   array-backed :class:`~repro.core.reputation.ReputationBook` and to a
   plain-dict reference model produce bit-identical scores — including
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.incentive import IncentiveParams
 from repro.core.reputation import ReputationSystem
 from repro.routing.chitchat import InterestStore, KeywordIndex
+from tests.helpers import assert_store_invariants
 
 PARAMS = IncentiveParams()
 
@@ -49,7 +53,7 @@ def interest_scenarios(draw):
     for _ in range(n_ops):
         dt = draw(st.floats(min_value=0.0, max_value=500.0,
                             allow_nan=False))
-        kind = draw(st.sampled_from(["decay", "grow", "add_direct"]))
+        kind = draw(st.sampled_from(["decay", "grow", "add_direct", "wipe"]))
         if kind == "decay":
             nodes = draw(st.lists(
                 st.integers(min_value=0, max_value=N_NODES - 1),
@@ -74,11 +78,78 @@ def interest_scenarios(draw):
                 for _ in pairs
             ]
             ops.append(("grow", dt, pairs, elapsed))
-        else:
+        elif kind == "add_direct":
             node = draw(st.integers(min_value=0, max_value=N_NODES - 1))
             keyword = draw(st.sampled_from(KEYWORDS))
             ops.append(("add_direct", dt, node, keyword))
+        else:
+            node = draw(st.integers(min_value=0, max_value=N_NODES - 1))
+            ops.append(("wipe", dt, node))
     return direct, ops
+
+
+def _reference_decay_block(W, D, P, L, connected, now, beta, prune_below=1e-3):
+    """``InterestStore._decay_block`` without the store's invariants:
+    cells that are not stale are copied back from ``W``, and the prune
+    skips direct cells by their flag."""
+    L = np.where(connected, now, L)
+    denominator = np.subtract(now, L)
+    stale = denominator > 0.0
+    stale &= P
+    denominator *= beta
+    np.maximum(denominator, 1.0, out=denominator)
+    half = D * 0.5
+    new_w = W - half
+    new_w /= denominator
+    new_w += half
+    prune = new_w < prune_below
+    prune &= stale
+    prune &= ~D
+    np.copyto(new_w, W, where=~stale)
+    new_w[prune] = 0.0
+    divided = stale.any(axis=1).tolist()
+    stale ^= prune
+    return (
+        new_w, L, P & ~prune, divided, prune.any(axis=1).tolist(),
+        (~stale.any(axis=1)).tolist(),
+    )
+
+
+def _reference_grow_side(self, rows, W, D, P, peer_w, peer_d, eff, now,
+                         growth_scale):
+    """``InterestStore._grow_side`` without the store's invariants:
+    acquired, grown and inactive cells are written separately, and the
+    direct flags are rewritten."""
+    psi = np.where(P, np.where(D, 2.0, 4.0), 6.0)
+    psi -= peer_d
+    delta = growth_scale * peer_w
+    delta *= eff
+    delta /= psi
+    active = delta > 0.0
+    fresh = active & ~P
+    new_w = W + delta
+    np.minimum(new_w, 1.0, out=new_w)
+    np.minimum(delta, 1.0, out=delta)
+    np.copyto(new_w, delta, where=fresh)
+    np.copyto(new_w, W, where=~active)
+    self._w[rows] = new_w
+    self._d[rows] = D & ~fresh
+    last = self._l[rows]
+    last[active] = now
+    self._l[rows] = last
+    self._p[rows] = P | fresh
+    tables = self._tables
+    for row in rows[active.any(axis=1)].tolist():
+        tables[row].version += 1
+    for row in rows[fresh.any(axis=1)].tolist():
+        tables[row]._members_version += 1
+
+
+class _ReferenceKernelStore(InterestStore):
+    """A store running the reference decay and growth kernels."""
+
+    _decay_block = staticmethod(_reference_decay_block)
+    _grow_side = _reference_grow_side
 
 
 def _table_state(table):
@@ -94,6 +165,8 @@ class TestInterestStoreEquivalence:
     @settings(max_examples=150, deadline=None)
     def test_batched_store_matches_per_node_tables(self, scenario):
         direct, ops = scenario
+        # A node's subscriptions: a wipe re-seeds its table from them.
+        subscribed = [list(interests) for interests in direct]
         reference_store = InterestStore(KeywordIndex(), rows=4)
         reference = [
             reference_store.create_table(interests, created_at=0.0)
@@ -105,6 +178,10 @@ class TestInterestStoreEquivalence:
             store.create_table(interests, created_at=0.0)
             for interests in direct
         ]
+        ref_kernels = _ReferenceKernelStore(KeywordIndex(), rows=4)
+        for interests in direct:
+            ref_kernels.create_table(interests, created_at=0.0)
+        batched = (store, ref_kernels)
         now = 0.0
         for op in ops:
             kind, dt = op[0], op[1]
@@ -132,7 +209,8 @@ class TestInterestStoreEquivalence:
                         [fused[node]._row for node in live],
                         dtype=np.intp,
                     )
-                    store.batch_decay(rows, mask, now, beta=BETA)
+                    for target in batched:
+                        target.batch_decay(rows, mask, now, beta=BETA)
             elif kind == "grow":
                 _, _, pairs, elapsed = op
                 for (a, b), duration in zip(pairs, elapsed):
@@ -156,25 +234,47 @@ class TestInterestStoreEquivalence:
                     if min(duration, ELAPSED_CAP) > 0.0
                 ]
                 if live_pairs:
-                    store.batch_grow_pairs(
-                        np.array([fused[a]._row
-                                  for (a, _), _ in live_pairs],
-                                 dtype=np.intp),
-                        np.array([fused[b]._row
-                                  for (_, b), _ in live_pairs],
-                                 dtype=np.intp),
-                        np.array([eff for _, eff in live_pairs]),
-                        now,
-                        growth_scale=GROWTH_SCALE,
-                    )
-            else:
+                    for target in batched:
+                        target.batch_grow_pairs(
+                            np.array([fused[a]._row
+                                      for (a, _), _ in live_pairs],
+                                     dtype=np.intp),
+                            np.array([fused[b]._row
+                                      for (_, b), _ in live_pairs],
+                                     dtype=np.intp),
+                            np.array([eff for _, eff in live_pairs]),
+                            now,
+                            growth_scale=GROWTH_SCALE,
+                        )
+            elif kind == "add_direct":
                 _, _, node, keyword = op
+                if keyword not in subscribed[node]:
+                    subscribed[node].append(keyword)
                 reference[node].add_direct(keyword, now)
-                fused[node].add_direct(keyword, now)
+                for target in batched:
+                    target._tables[node].add_direct(keyword, now)
+            else:
+                _, _, node = op
+                reference[node].reset(subscribed[node], now)
+                for target in batched:
+                    target._tables[node].reset(subscribed[node], now)
             for node in range(N_NODES):
                 assert _table_state(fused[node]) == _table_state(
                     reference[node]
                 ), f"node {node} diverged after {kind}"
+            for target in (reference_store, store, ref_kernels):
+                assert_store_invariants(target)
+            for name in ("_w", "_d", "_l", "_p"):
+                assert np.array_equal(
+                    getattr(store, name), getattr(ref_kernels, name)
+                ), f"{name} diverged from the reference kernels after {kind}"
+            assert [
+                (t.version, t._members_version, t._stamped)
+                for t in store._tables
+            ] == [
+                (t.version, t._members_version, t._stamped)
+                for t in ref_kernels._tables
+            ], f"versions diverged from the reference kernels after {kind}"
 
 
 # ----------------------------------------------------------------------
