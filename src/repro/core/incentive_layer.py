@@ -36,7 +36,8 @@ implementation):
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from itertools import compress
+from typing import Dict, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -216,6 +217,10 @@ class IncentiveLayer(Router):
         self._pending_payments: Dict[
             int, Tuple[int, int, float, str]
         ] = {}
+        #: Pairs of the current up tick whose hook runs for the layer's
+        #: own gossip or records although the substrate asked for none:
+        #: their substrate ``prepare_contact`` is skipped.
+        self._substrate_quiet: Set[Tuple[int, int]] = set()
         self._trace = NULL_RECORDER
 
     def __getattr__(self, name: str):
@@ -571,25 +576,44 @@ class IncentiveLayer(Router):
         self.substrate.on_message_created(node_id, message)
 
     def on_contact_start(self, link: Link) -> None:
-        self.substrate.prepare_contact(link)
+        quiet = self._substrate_quiet
+        if quiet and link.pair in quiet:
+            quiet.remove(link.pair)
+        else:
+            self.substrate.prepare_contact(link)
         self._exchange(link)
 
     def on_contact_end(self, link: Link) -> None:
         self.substrate.on_contact_end(link)
 
-    # Batched contact hooks: the layer plans its own gossip exchange
-    # across the tick's pairs, then hands the batch to the substrate
-    # for the decay phase (offers still run per pair from
-    # on_contact_start, through the payment pipeline unchanged).
-    def prepare_contact_batch(self, pairs) -> None:
-        # The tick's gossip is planned in grouped rounds; each pair's
-        # exchange in _exchange then runs at its per-pair point.
-        # Alternative reputation systems (Bayesian) have no planner;
-        # their pairs merge at the exchange itself.
+    # Batched contact hooks: the substrate plans its decay phase and
+    # says which pairs need their hook, then the layer plans its own
+    # gossip exchange across the tick's pairs (offers still run per
+    # pair from on_contact_start, through the payment pipeline
+    # unchanged).
+    def prepare_contact_batch(self, pairs) -> np.ndarray:
+        """The substrate's mask plus the pairs the layer needs.
+
+        A pair the substrate leaves out offers nothing either way, so
+        only its gossip could be observed.  The reputation planner
+        writes every merge no award reads at plan time
+        (``exchange_batch_rounds``) and adds the pairs whose merge must
+        wait for their exchange point.  Every pair keeps its hook when
+        the layer records (each exchange emits a ``gossip`` record in
+        admission order), when escrow holds expire (the expiry time is
+        visible at settlement) or when the reputation system has no
+        planner (its pairs merge at the exchange itself).
+        """
+        keep = self.substrate.prepare_contact_batch(pairs)
         plan = getattr(self.reputation, "exchange_batch_rounds", None)
-        if pairs and plan is not None:
-            plan(pairs)
-        self.substrate.prepare_contact_batch(pairs)
+        if plan is None:
+            calls = np.ones(len(pairs), dtype=bool)
+        elif self._trace.enabled or self.escrow_timeout is not None:
+            calls = plan(pairs)
+        else:
+            calls = plan(pairs, keep)
+        self._substrate_quiet = set(compress(pairs, (calls & ~keep).tolist()))
+        return calls
 
     def contact_end_batch(self, links) -> None:
         self.substrate.contact_end_batch(links)
@@ -761,6 +785,9 @@ class IncentiveLayer(Router):
     def on_message_dropped(self, node_id: int, message: Message) -> None:
         self._promises.pop((node_id, message.uuid), None)
         self.substrate.on_message_dropped(node_id, message)
+
+    def on_node_subscribed(self, node_id: int, keywords) -> None:
+        self.substrate.on_node_subscribed(node_id, keywords)
 
     def on_node_wiped(self, node_id: int) -> None:
         # The layer's own per-copy state (promises) already drained

@@ -70,11 +70,9 @@ class Operators:
 
     # -- Function 2: Subscribe -----------------------------------------
     def subscribe(self, node_id: int, interests: Sequence[str]) -> None:
-        """Add direct keyword subscriptions for a user."""
+        """Add direct keyword subscriptions for a user (through
+        ``World.subscribe``, which also updates the router)."""
         self._world.subscribe(node_id, interests)
-        table = self._protocol.table(node_id)
-        for keyword in interests:
-            table.add_direct(keyword, self._world.now)
 
     # -- Function 3: DecayWeights --------------------------------------
     def decay_weights(self, node_id: int) -> dict:

@@ -30,8 +30,9 @@ inspecting the image would produce (DESIGN.md substitutions table).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 import numpy as np
@@ -259,9 +260,8 @@ class ReputationSystem:
         self._books: Dict[int, ReputationBook] = {}
         #: Gossip planned by :meth:`exchange_batch_rounds` whose
         #: exchange point has not come yet: ``(a, b) -> (merged_a,
-        #: merged_b, arrays)``.  ``arrays`` is ``None`` for a round-zero
-        #: pair (its books are already written), else the
-        #: ``(subjects_a, values_a, subjects_b, values_b)`` that
+        #: merged_b, side_a, side_b)``.  A side is ``None`` when its book
+        #: is already written, else the ``(subjects, values)`` that
         #: :meth:`exchange` installs.
         self._planned: Dict[Tuple[int, int], tuple] = {}
         self.trace: TraceRecorder = NULL_RECORDER
@@ -311,13 +311,14 @@ class ReputationSystem:
         """
         planned = self._planned.pop((a, b), None)
         if planned is None:
-            planned = self._plan([[(a, b)]])[(a, b)]
-        merged_a, merged_b, arrays = planned
-        if arrays is not None:
-            book_a = self.book(a)
-            book_b = self.book(b)
-            book_a._subjects, book_a._values = arrays[0], arrays[1]
-            book_b._subjects, book_b._values = arrays[2], arrays[3]
+            planned = self._plan([(a, b)], [[0]], [True])[a, b]
+        merged_a, merged_b, side_a, side_b = planned
+        if side_a is not None:
+            book = self.book(a)
+            book._subjects, book._values = side_a
+        if side_b is not None:
+            book = self.book(b)
+            book._subjects, book._values = side_b
         self.record_gossip(a, b, merged_a, merged_b)
 
     def record_gossip(
@@ -337,33 +338,39 @@ class ReputationSystem:
                 "merged_a": merged_a, "merged_b": merged_b,
             })
 
-    def exchange_batch_rounds(self, pairs: Sequence[Tuple[int, int]]) -> None:
+    def exchange_batch_rounds(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        keep: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Plan the gossip of every pair of one contact-up tick.
 
         A pair's round is one past the latest round either endpoint
         already sits in (the growth batch's decomposition), so within a
         round every node appears at most once and each node's merges
         keep their per-pair order.  :meth:`_merge` runs once per round,
-        each round reading the arrays the previous rounds produced;
-        every pair then waits in ``_planned`` for :meth:`exchange`.
+        each round reading the arrays the previous rounds produced.
 
-        Round zero (both endpoints' first pair of the tick) is written
-        to the books now.  Within a contact-up event only gossip writes
-        books (ratings settle with transfers at strictly later events),
-        and the only book read between two exchanges is
-        ``compute_award``'s read of the offer receiver's book, a member
-        of the earlier pair.  No earlier pair of the tick holds a
-        round-zero endpoint, so nothing before the pair's exchange
-        point reads or writes its books.  A later round cannot be
-        written early, because an earlier pair's award may read its
-        members' books in between; :meth:`exchange` installs its arrays
-        at the pair's exchange point, so every read sees the per-pair
-        states.
+        ``keep`` masks the pairs whose exchange the caller runs anyway;
+        only their exchanges read books (``None``: every pair).  Within
+        a contact-up event only gossip writes books (ratings settle
+        with transfers at strictly later events), and the only book
+        read between two exchanges is ``compute_award``'s read of an
+        offer receiver's book, an endpoint of a kept pair.  So a side
+        is written to its book now, in round order, when it is in round
+        zero (both endpoints' first pair of the tick: no earlier pair
+        reads or writes its books) or when no kept pair holds its node
+        (nothing reads that book during the tick).  Any other side waits
+        in ``_planned`` for :meth:`exchange` to install it at the pair's
+        exchange point, so every read sees the per-pair states.
+
+        Returns the pairs whose :meth:`exchange` must run: ``keep``
+        plus every pair holding a waiting side.  Only those pairs have
+        a ``_planned`` entry.
         """
         last_round: Dict[int, int] = {}
         rounds: List[list] = []
-        for pair in pairs:
-            a, b = pair
+        for k, (a, b) in enumerate(pairs):
             r = last_round.get(a, -1)
             r_b = last_round.get(b, -1)
             if r_b > r:
@@ -371,18 +378,34 @@ class ReputationSystem:
             r += 1
             if r == len(rounds):
                 rounds.append([])
-            rounds[r].append(pair)
+            rounds[r].append(k)
             last_round[a] = r
             last_round[b] = r
-        self._planned = self._plan(rounds)
+        if keep is None:
+            calls = [True] * len(pairs)
+            read = None
+        else:
+            calls = keep.tolist()
+            read = set(chain.from_iterable(compress(pairs, calls)))
+        self._planned = self._plan(pairs, rounds, calls, read)
+        return np.array(calls)
 
-    def _plan(self, rounds: List[list]) -> Dict[Tuple[int, int], tuple]:
-        """Merge each round of node-disjoint pairs; an entry per pair.
+    def _plan(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        rounds: List[List[int]],
+        calls: List[bool],
+        read: Optional[Set[int]] = None,
+    ) -> Dict[Tuple[int, int], tuple]:
+        """Merge each round of node-disjoint pairs (indices into
+        ``pairs``); an entry per pair that will be exchanged.
 
-        Round zero reads and writes the books.  A later round reads each
-        node's arrays from the rounds before it (its book, for a node
-        not yet in a later round) and leaves the books alone; its
-        entries carry the new arrays.
+        Round zero writes the books.  A later round reads each node's
+        arrays from the rounds before it; it writes the book of a node
+        outside ``read`` (``None``: every node may be read) and leaves
+        the others' in its entries.  A pair gets an entry when
+        ``calls`` holds it, and one that leaves a side waiting is added
+        to ``calls``.
         """
         planned: Dict[Tuple[int, int], tuple] = {}
         arrays: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -390,7 +413,7 @@ class ReputationSystem:
         for r, round_pairs in enumerate(rounds):
             books = []
             sides = []
-            for a, b in round_pairs:
+            for a, b in map(pairs.__getitem__, round_pairs):
                 book_a = book(a)
                 book_b = book(b)
                 books.append((book_a, book_b))
@@ -399,18 +422,24 @@ class ReputationSystem:
                 sides.append((s_a, v_a, s_b, v_b, a, b))
                 sides.append((s_b, v_b, s_a, v_a, a, b))
             merged = self._merge(sides)
-            for k, pair in enumerate(round_pairs):
-                s_a, v_a, kept_a = merged[2 * k]
-                s_b, v_b, kept_b = merged[2 * k + 1]
-                if r:
-                    arrays[pair[0]] = s_a, v_a
-                    arrays[pair[1]] = s_b, v_b
-                    planned[pair] = (kept_a, kept_b, (s_a, v_a, s_b, v_b))
+            for j, k in enumerate(round_pairs):
+                a, b = pair = pairs[k]
+                s_a, v_a, kept_a = merged[2 * j]
+                s_b, v_b, kept_b = merged[2 * j + 1]
+                book_a, book_b = books[j]
+                side_a = side_b = None
+                if r and (read is None or a in read):
+                    arrays[a] = side_a = s_a, v_a
                 else:
-                    book_a, book_b = books[k]
                     book_a._subjects, book_a._values = s_a, v_a
+                if r and (read is None or b in read):
+                    arrays[b] = side_b = s_b, v_b
+                else:
                     book_b._subjects, book_b._values = s_b, v_b
-                    planned[pair] = (kept_a, kept_b, None)
+                if side_a is not None or side_b is not None:
+                    calls[k] = True
+                if calls[k]:
+                    planned[pair] = (kept_a, kept_b, side_a, side_b)
         return planned
 
     def _merge(self, sides: Sequence[tuple]) -> List[tuple]:

@@ -30,12 +30,13 @@ handlers, and the batching is exact:
   (transfers, TTL sweeps, churn re-arms) always carry larger sequences
   than every load-time event, so they never split a tick.
 * **Hook order.** An up tick admits all its pairs, hands them to
-  ``prepare_contact_batch``, then opens them one by one
-  (``on_contact_start``); a down tick closes its links, then hands them
-  to ``contact_end_batch``.  The base hooks do nothing before the opens
-  and replay ``on_contact_end`` per link, which is exactly a per-pair
-  loop: transfers and ratings settle at later engine events, and no
-  contact hook draws the behaviour stream or drains a battery.
+  ``prepare_contact_batch``, then opens them one by one, calling
+  ``on_contact_start`` on the pairs whose mask the router set; a down
+  tick closes its links, then hands them to ``contact_end_batch``.  The
+  base hooks plan nothing, ask for every pair and replay
+  ``on_contact_end`` per link, which is exactly a per-pair loop:
+  transfers and ratings settle at later engine events, and no contact
+  hook draws the behaviour stream or drains a battery.
 * **One close site.** Churn crashes and battery blackouts close a
   node's links the way a down tick does (:meth:`World._close_contact`
   per link, then one ``contact_end_batch``), so the link maps only
@@ -453,10 +454,11 @@ class World:
         exchanges, whose transfers settle at strictly later events),
         (2) one ``prepare_contact_batch`` so the router can plan its
         pre-exchange state updates vectorised (the base hook does
-        nothing), then (3) the open/trace/``on_contact_start`` half per
-        admitted pair in order.  A pair admitted earlier in the batch
-        suppresses later duplicates before their RNG draws — the same
-        skip the live-link check performs per pair.
+        nothing) and say which pairs need their per-pair hook, then (3)
+        the open/register/trace half per admitted pair in order, with
+        ``on_contact_start`` where the router asked.  A pair admitted
+        earlier in the batch suppresses later duplicates before their
+        RNG draws — the same skip the live-link check performs per pair.
         """
         admit = self._admit_contact
         admitted: List[Tuple[int, int]] = []
@@ -469,10 +471,10 @@ class World:
                 admitted_set.add(pair)
         if not admitted:
             return
-        self.router.prepare_contact_batch(admitted)
+        hooked = self.router.prepare_contact_batch(admitted).tolist()
         open_contact = self._open_contact
-        for pair in admitted:
-            open_contact(pair)
+        for pair, hook in zip(admitted, hooked):
+            open_contact(pair, hook)
 
     def _run_down_batch(
         self, batch: List[Tuple[int, int]], reason: str = "mobility"
@@ -586,8 +588,9 @@ class World:
             return False
         return True
 
-    def _open_contact(self, pair: Tuple[int, int]) -> None:
-        """The opening half: create the link, trace it, start routing."""
+    def _open_contact(self, pair: Tuple[int, int], hook: bool = True) -> None:
+        """The opening half: create the link, trace it and, when
+        ``hook`` is set, start routing."""
         a, b = pair
         fault_hook = None
         if self.faults is not None and self.faults.config.lossy:
@@ -606,7 +609,8 @@ class World:
             self.trace.emit({
                 "type": "contact-up", "t": self.now, "a": a, "b": b,
             })
-        self.router.on_contact_start(link)
+        if hook:
+            self.router.on_contact_start(link)
 
     def _close_contact(
         self, pair: Tuple[int, int], reason: str
@@ -775,10 +779,14 @@ class World:
 
     def subscribe(self, node_id: int, keywords: Iterable[str]) -> None:
         """Add direct interests to ``node_id``: it becomes an intended
-        destination of every later message carrying one of them."""
+        destination of every later message carrying one of them, and
+        the router adds them to its own per-node state.  The one
+        subscription path."""
+        keywords = list(keywords)
         node = self.node(node_id)
         node.interests = frozenset(node.interests) | frozenset(keywords)
         self._build_interest_matrix()
+        self.router.on_node_subscribed(node_id, keywords)
 
     def _intended_destinations(self, message: Message) -> Set[int]:
         """Node ids with a direct interest in ``message`` (source excluded)."""

@@ -13,6 +13,8 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Iterable, List, Optional, Protocol, Tuple
 
+import numpy as np
+
 from repro.messages.message import Message
 from repro.network.link import Link, Transfer
 from repro.network.node import Node
@@ -136,16 +138,21 @@ class Router(abc.ABC):
     # tick's per-pair work with a bit-identical result (ChitChat).
     def prepare_contact_batch(
         self, pairs: List[Tuple[int, int]]
-    ) -> None:
+    ) -> np.ndarray:
         """All admitted pairs of one contact-up tick, before any opens.
 
         Called by the world once per up tick so a router can plan
         pre-exchange state updates (ChitChat's RTSR decay) as
         vectorised passes, leaving the per-pair hooks only what must
-        land at each pair's point.  The default does nothing —
+        land at each pair's point.  Returns a bool mask over ``pairs``:
+        the world calls :meth:`on_contact_start` only where it is set.
+        A router may leave a pair out only when that pair's hook would
+        offer nothing and change nothing any later read observes.  The
+        default plans nothing and asks for every pair, so
         :meth:`prepare_contact` still runs per pair from
         :meth:`on_contact_start`.
         """
+        return np.ones(len(pairs), dtype=bool)
 
     def contact_end_batch(self, links: List[Link]) -> None:
         """Every link closed by one contact-down tick or one forced
@@ -172,6 +179,12 @@ class Router(abc.ABC):
 
     def on_message_dropped(self, node_id: int, message: Message) -> None:
         """A buffered message was evicted to make room for another."""
+
+    def on_node_subscribed(self, node_id: int, keywords: List[str]) -> None:
+        """``node_id`` subscribed to ``keywords`` (``World.subscribe``,
+        after its ``Node.interests`` took them).  Routers keeping
+        per-node interest state (ChitChat's direct cells) add them
+        here.  Default: no state, no-op."""
 
     def on_node_wiped(self, node_id: int) -> None:
         """A churn crash wiped ``node_id``'s state (wipe policy only).

@@ -202,22 +202,55 @@ class InterestTable:
         self._store = store
         self._row = row
         self._index = store.index
-        #: Bumped on every mutation; cache-invalidation token.
-        self.version: int = 0
-        #: Bumped only when row *membership* changes (acquire, prune,
-        #: subscribe).  Weight updates leave it alone, so the derived
-        #: keyword/id views below survive ordinary decay/growth ticks.
-        self._members_version: int = 0
         self._keywords_view: Optional[FrozenSet[str]] = None
         self._keywords_view_key: int = -1
         self._ids_view: Optional[np.ndarray] = None
         self._ids_view_key: int = -1
-        #: ``(now, version, _members_version)`` when the last decay left
-        #: the table *fully stamped* (no present row with ``T_l < now``);
-        #: while it still matches, a decay at ``now`` is a no-op that
-        #: the router skips (DESIGN.md §9).
-        self._stamped: Optional[Tuple[float, int, int]] = None
         self._attach()
+
+    # The row's versions and record live in the store's arrays, so the
+    # batched tick moves them with array operations.
+    @property
+    def version(self) -> int:
+        """Bumped on every mutation; cache-invalidation token."""
+        return self._store._version_cells[2 * self._row]
+
+    @version.setter
+    def version(self, value: int) -> None:
+        self._store._version_cells[2 * self._row] = value
+
+    @property
+    def _members_version(self) -> int:
+        """Bumped only when row *membership* changes (acquire, prune,
+        subscribe).  Weight updates leave it alone, so the derived
+        keyword/id views below survive ordinary decay/growth ticks."""
+        return self._store._version_cells[2 * self._row + 1]
+
+    @_members_version.setter
+    def _members_version(self, value: int) -> None:
+        self._store._version_cells[2 * self._row + 1] = value
+
+    @property
+    def _stamped(self) -> Optional[Tuple[float, int, int]]:
+        """``(now, version, _members_version)`` when the last decay left
+        the table *fully stamped* (no present row with ``T_l < now``);
+        while it still matches, a decay at ``now`` is a no-op that the
+        router skips (DESIGN.md §9).  ``None`` for no record."""
+        store = self._store
+        at = store._stamped_at.item(self._row)
+        if at != at:
+            return None
+        version, members = store._stamped_versions[self._row].tolist()
+        return at, version, members
+
+    @_stamped.setter
+    def _stamped(self, record: Optional[Tuple[float, int, int]]) -> None:
+        store = self._store
+        if record is None:
+            store._stamped_at[self._row] = np.nan
+        else:
+            store._stamped_at[self._row] = record[0]
+            store._stamped_versions[self._row] = record[1:]
 
     # ------------------------------------------------------------------
     # Row plumbing
@@ -480,18 +513,6 @@ class InterestTable:
             if dead.all():
                 self._stamped = (now, self.version, self._members_version)
 
-    def _record_decay(
-        self, now: float, divided: bool, pruned: bool, settled: bool
-    ) -> None:
-        """:meth:`decay`'s version bookkeeping, for a decay whose cells
-        a batch wrote (flags as :meth:`InterestStore._decay_block`)."""
-        if divided:
-            self.version += 1
-            if pruned:
-                self._members_version += 1
-        if settled:
-            self._stamped = (now, self.version, self._members_version)
-
     # ------------------------------------------------------------------
     # Algorithm 2: growth
     # ------------------------------------------------------------------
@@ -623,7 +644,23 @@ class InterestStore:
         self._d = np.zeros((rows, columns), dtype=bool)
         self._l = np.zeros((rows, columns), dtype=np.float64)
         self._p = np.zeros((rows, columns), dtype=bool)
+        #: Per row: ``InterestTable.version`` and ``_members_version``.
+        self._versions = np.zeros((rows, 2), dtype=np.int64)
+        self._version_cells = self._cells(self._versions)
+        #: Per row: the fully-stamped record ``InterestTable._stamped``,
+        #: its time (NaN for none) and the two versions it was made at.
+        self._stamped_at = np.full(rows, np.nan)
+        self._stamped_versions = np.zeros((rows, 2), dtype=np.int64)
         self._tables: List[InterestTable] = []
+
+    @staticmethod
+    def _cells(versions: np.ndarray) -> memoryview:
+        """``versions`` as one flat memoryview: item ``2 * row`` is the
+        row's version, ``2 * row + 1`` its member version.  Its items
+        read as Python ints at attribute speed, which the interest-sum
+        memo's version check on every lookup needs (an ``ndarray.item``
+        there cost ``paper`` about 4%), with no object per table."""
+        return memoryview(versions).cast("B").cast("q")
 
     @property
     def columns(self) -> int:
@@ -678,11 +715,16 @@ class InterestStore:
     def _grow_rows(self, need: int) -> None:
         old = self._w.shape[0]
         new = max(old * 2, need)
-        for name in ("_w", "_d", "_l", "_p"):
+        for name in (
+            "_w", "_d", "_l", "_p", "_versions", "_stamped_at",
+            "_stamped_versions",
+        ):
             array = getattr(self, name)
-            grown = np.zeros((new, array.shape[1]), dtype=array.dtype)
+            grown = np.zeros((new,) + array.shape[1:], dtype=array.dtype)
             grown[:old] = array
             setattr(self, name, grown)
+        self._stamped_at[old:] = np.nan
+        self._version_cells = self._cells(self._versions)
         for table in self._tables:
             table._attach()
 
@@ -718,17 +760,17 @@ class InterestStore:
         connected: np.ndarray,
         now: float,
         beta: float,
-    ) -> Tuple[
-        np.ndarray, np.ndarray, np.ndarray, List[bool], List[bool], List[bool]
-    ]:
+    ) -> Tuple[np.ndarray, ...]:
         """Algorithm 1 over a block of rows, computed without writing.
 
         ``W``/``D``/``P``/``L`` are the rows' weights, direct and
         present flags and ``T_l``; transients under ``_PRUNE_BELOW``
         are pruned.  Returns the decayed ``(weights, last, present)``
-        arrays, then three lists saying per row whether it divided a
-        cell, pruned a row and was left fully stamped (no present cell
-        with ``T_l < now``).
+        arrays, each row's increments of ``(version, _members_version)``
+        as :meth:`InterestTable.decay` moves them (a row that divided a
+        cell bumps its version, one that pruned a cell, always divided,
+        its member version too), and whether each row was left fully
+        stamped (no present cell with ``T_l < now``).
         """
         L = np.where(connected, now, L)
         # In place, but each element still sees ``(w - half) /
@@ -749,12 +791,9 @@ class InterestStore:
         prune = new_w < _PRUNE_BELOW
         prune &= stale
         new_w[prune] = 0.0
-        divided = stale.any(axis=1).tolist()
+        increments = np.array([stale.any(axis=1), prune.any(axis=1)]).T
         stale ^= prune
-        return (
-            new_w, L, P & ~prune, divided, prune.any(axis=1).tolist(),
-            (~stale.any(axis=1)).tolist(),
-        )
+        return new_w, L, P & ~prune, increments, ~stale.any(axis=1)
 
     def batch_decay(
         self,
@@ -785,24 +824,29 @@ class InterestStore:
         planner runs :meth:`_decay_block` and :meth:`_write_decayed`
         itself, on its scratch rows.
         """
-        block = self._decay_block(
+        weights, last, present, increments, settled = self._decay_block(
             self._w[rows], self._d[rows], self._p[rows], self._l[rows],
             connected, now, beta,
         )
-        self._write_decayed(rows, now, *block)
-        return block[:3]
+        self._write_decayed(
+            rows, now, weights, last, present,
+            self._versions[rows] + increments, settled,
+        )
+        return weights, last, present
 
     def _write_decayed(
-        self, rows, now, weights, last, present, divided, pruned, settled
+        self, rows, now, weights, last, present, versions, settled
     ) -> None:
-        """Write decayed rows (a :meth:`_decay_block` result) to the
-        store and move their tables' versions and records."""
+        """Write distinct decayed rows to the store: their cells, their
+        ``(version, _members_version)`` and, where ``settled`` (left
+        fully stamped), the record of both at ``now``."""
         self._w[rows] = weights
         self._l[rows] = last
         self._p[rows] = present
-        tables = self._tables
-        for row, d, p, s in zip(rows.tolist(), divided, pruned, settled):
-            tables[row]._record_decay(now, d, p, s)
+        self._versions[rows] = versions
+        settled = rows[settled]
+        self._stamped_at[settled] = now
+        self._stamped_versions[settled] = self._versions[settled]
 
     def batch_grow_pairs(
         self,
@@ -880,11 +924,11 @@ class InterestStore:
         last[active] = now
         self._l[rows] = last
         self._p[rows] = P | active
-        tables = self._tables
-        for row in rows[active.any(axis=1)].tolist():
-            tables[row].version += 1
-        for row in rows[(active & ~P).any(axis=1)].tolist():
-            tables[row]._members_version += 1
+        # A row that wrote a cell bumps its version; one that acquired
+        # a cell, its member version too (``grow_from_arrays``'s rule).
+        self._versions[rows] += np.array(
+            [active.any(axis=1), (active & ~P).any(axis=1)]
+        ).T
 
 
 class ChitChatRouter(Router):
@@ -968,7 +1012,8 @@ class ChitChatRouter(Router):
         #: Pair -> its two decay sides as planned by
         #: :meth:`prepare_contact_batch` this tick: ``None`` where
         #: nothing is left to write, else the stashed result
-        #: ``run_rtsr_decay`` writes at the pair's point.
+        #: ``run_rtsr_decay`` writes at the pair's point.  Only the
+        #: pairs whose hook the tick asked for have an entry.
         self._planned: Dict[Tuple[int, int], List[Optional[tuple]]] = {}
         #: (sender, receiver) -> the side's :meth:`_select_sides` result
         #: for this tick, valid only inside the engine event stamped in
@@ -1055,9 +1100,10 @@ class ChitChatRouter(Router):
         table = self._tables.get(node_id)
         if table is None:
             table = self.table(node_id)
+        version = self._store._version_cells[2 * table._row]
         cached = self._sum_cache.get(node_id)
-        if cached is None or cached[0] != table.version:
-            cached = (table.version, {})
+        if cached is None or cached[0] != version:
+            cached = (version, {})
             self._sum_cache[node_id] = cached
         sums = cached[1]
         key = message._memo_key
@@ -1131,15 +1177,19 @@ class ChitChatRouter(Router):
         now = self.world.now
         planned = self._planned.pop(link.pair, None)
         if planned is not None:
-            tables = self._tables
+            store = self._store
             for node_id, side in zip(link.pair, planned):
                 if side is not None:
-                    weights, last, present, divided, pruned, settled = side
-                    table = tables[node_id]
-                    table._weight[:] = weights
-                    table._last[:] = last
-                    table._present[:] = present
-                    table._record_decay(now, divided, pruned, settled)
+                    # One row of ``InterestStore._write_decayed``.
+                    weights, last, present, versions, settled = side
+                    row = self._tables[node_id]._row
+                    store._w[row] = weights
+                    store._l[row] = last
+                    store._p[row] = present
+                    store._versions[row] = versions
+                    if settled:
+                        store._stamped_at[row] = now
+                        store._stamped_versions[row] = versions
             return
         for node_id in link.pair:
             table = self.table(node_id)
@@ -1214,7 +1264,7 @@ class ChitChatRouter(Router):
 
     def _memo(self, node_id: int) -> Dict[int, float]:
         """``node_id``'s memoised sums for its table's current version."""
-        version = self._tables[node_id].version
+        version = self._store._version_cells[2 * self._tables[node_id]._row]
         cached = self._sum_cache.get(node_id)
         if cached is None or cached[0] != version:
             cached = self._sum_cache[node_id] = (version, {})
@@ -1330,23 +1380,23 @@ class ChitChatRouter(Router):
 
     def prepare_contact_batch(
         self, pairs: List[Tuple[int, int]]
-    ) -> None:
+    ) -> np.ndarray:
         """Decay and select for a whole contact-up tick, in array passes.
 
         The world calls this once per tick with every admitted pair,
-        before any link opens.  :meth:`_plan_decay` (DESIGN.md §9) hands
-        over both endpoints' rows at every pair with a non-empty sender
-        buffer, and :meth:`_select_sides` selects those sides into
-        :attr:`_selected` (DESIGN.md §10).
+        before any link opens.  :meth:`_plan_decay` (DESIGN.md §9)
+        writes every decay side no exchange of the tick reads and hands
+        over both endpoints' rows at every *busy* pair (one with a
+        non-empty sender buffer); :meth:`_select_sides` selects those
+        sides into :attr:`_selected` (DESIGN.md §10).  Returns the
+        pairs whose ``on_contact_start`` must run: the busy pairs and
+        the pairs holding a stashed side.  Every other pair offers
+        nothing and has nothing left to write.
         """
-        planned = self._planned
-        planned.clear()
         self._selected.clear()
         world = self.world
         engine = world.engine
         self._selected_at = (engine, engine.now, engine.events_fired)
-        plans = [[None, None] for _ in pairs]
-        planned.update(zip(pairs, plans))
         # Side ``t`` is ``pairs[t >> 1][t & 1]``'s; ``nodes`` are the
         # tick's nodes in first-appearance order, ``local[t]`` is the
         # side's node among them and ``first`` each node's first side.
@@ -1363,18 +1413,25 @@ class ChitChatRouter(Router):
         busy = np.fromiter(
             map(bool, map(_QUEUED, map(world.node, nodes.tolist()))),
             dtype=bool, count=nodes.size,
-        )[local]
-        # Both endpoints' weights at each pair with a non-empty sender
-        # buffer, the pair's rows ``2m`` and ``2m + 1``: tick-start rows
-        # until the plan hands over the decayed ones.
-        need = np.repeat(busy.reshape(-1, 2).any(axis=1), 2)
-        handed = np.where(need, np.cumsum(need) - 1, -1)
-        side_rows = self._store._w[rows[local[need]]]
-        self._plan_decay(
-            plans, nodes, rows, created, local, side_node, first >> 1,
+        )
+        sending = busy[local]
+        need = sending.reshape(-1, 2).any(axis=1)
+        # Both endpoints' weights at each busy pair, the pair's rows
+        # ``2m`` and ``2m + 1``: tick-start rows until the plan hands
+        # over the decayed ones.
+        both = np.repeat(need, 2)
+        handed = np.where(both, np.cumsum(both) - 1, -1)
+        side_rows = self._store._w[rows[local[both]]]
+        keep, stashed = self._plan_decay(
+            need, busy, nodes, rows, created, local, side_node, first >> 1,
             handed, side_rows,
         )
-        sel = np.flatnonzero(busy)
+        planned = self._planned = {
+            pair: [None, None] for pair in compress(pairs, keep.tolist())
+        }
+        for k, slot, side in stashed:
+            planned[pairs[k]][slot] = side
+        sel = np.flatnonzero(sending)
         if sel.size:
             sides = list(zip(side_node[sel].tolist(),
                              side_node[sel ^ 1].tolist()))
@@ -1383,26 +1440,34 @@ class ChitChatRouter(Router):
             self._selected.update(zip(sides, self._select_sides(
                 sides, side_rows, sender_rows, sender_rows ^ 1,
             )))
+        return keep
 
     def _plan_decay(
-        self, plans, nodes, rows, created, local, side_node, first_pair,
-        handed, side_rows,
-    ) -> None:
+        self, need, busy, nodes, rows, created, local, side_node,
+        first_pair, handed, side_rows,
+    ) -> Tuple[np.ndarray, List[tuple]]:
         """Plan every decay side of the tick in dependency rounds.
 
         Side ``t`` is ``side_node[t] == nodes[local[t]]``'s decay at pair
         ``t >> 1``; it reads its node's row and the membership of the
         node's tick-start open peers and of its partners up to its pair,
         and runs in a round that sees exactly those inputs (DESIGN.md
-        §9).  A node's first side is written to the store here unless an
-        earlier pair reads the node through a tick-start open link; that
-        side and every later one go to ``plans[t >> 1][t & 1]`` for
+        §9).  Only busy pairs' exchanges read tables: both endpoints of
+        each pair in ``need``, and the open peers of each ``busy`` node
+        (the *read set*).  A side is written to the store here, in round
+        order, unless its node is in the read set and the side is not
+        the node's first, or an earlier pair reads the node through a
+        tick-start open link; such a side is *stashed* for
         ``run_rtsr_decay``.  A side with ``handed[t] >= 0`` also writes
-        its row to ``side_rows[handed[t]]``.
+        its row to ``side_rows[handed[t]]``.  Returns ``need`` plus the
+        pairs holding a stashed side, and each stashed side as ``(pair
+        index, slot, (weights, last, present, versions, settled))``:
+        the row's state after it and whether it leaves the record.
         """
         store = self._store
         now = self.world.now
         beta = self.beta
+        keep = need.copy()
         # A new table holds only direct cells stamped ``now``; such a
         # table, or one with no present cell older than ``now``, stays
         # fully stamped for the whole tick: every side is a no-op.
@@ -1413,17 +1478,18 @@ class ChitChatRouter(Router):
         active = older[live]
         n_active = active.size
         # Leave the record the first side would.
-        stamped = np.delete(rows, active).tolist()
-        for table in map(store._tables.__getitem__, stamped):
-            table._stamped = (now, table.version, table._members_version)
+        stamped = np.delete(rows, active)
+        store._stamped_at[stamped] = now
+        store._stamped_versions[stamped] = store._versions[stamped]
         if not n_active:
-            return
+            return keep, []
         # Scratch rows of the active nodes, stepped through every side.
         act_rows = rows[active]
         act_nodes = nodes[active]
         sW = store._w[act_rows]
         sD = store._d[act_rows]
         sL = L[live]
+        sV = store._versions[act_rows]
         P = P[live]
         # The active sides ``t`` in order, with their node's scratch
         # index ``a`` and their ordinal ``o`` among its sides (from 0);
@@ -1478,13 +1544,23 @@ class ChitChatRouter(Router):
         members = np.concatenate((P, store._p[self._row_of[others]]))
         read = where[read]
         opens, partners = read[:owner.size], read[owner.size:]
+        # The read set among the active nodes: endpoints of busy pairs,
+        # and tick-start open peers of busy nodes (links are symmetric,
+        # so those are the nodes with a busy tick-start open peer).
+        in_read = np.zeros(nodes.size, dtype=bool)
+        in_read[local[handed >= 0]] = True
+        in_read = in_read[active]
+        where[:] = 0
+        where[nodes[busy]] = 1
+        in_read[owner[where[peer] > 0]] = True
         # A first side is stashed when a tick-start open peer's first
-        # pair comes earlier: that pair's exchange read this node.
-        where[:] = len(plans)
+        # pair comes earlier: that pair's exchange may read this node.
+        where[:] = need.size
         where[nodes] = first_pair
         early = np.zeros(n_active, dtype=bool)
         early[owner[where[peer] < first_pair[active][owner]]] = True
-        stash = (o > 0) | early[a]
+        stash = ((o > 0) | early[a]) & in_read[a]
+        keep[t[stash] >> 1] = True
         # Every side follows its node's previous side, and the latest
         # earlier side of each peer it reads (open peers, partners up to
         # its pair) once that side's ordinal reaches the peer's first
@@ -1527,9 +1603,10 @@ class ChitChatRouter(Router):
         ends = np.concatenate(([0], np.cumsum(span)[1::2]))
         words = members.view(np.uint64)
         sides = t[run]
-        pairs = (sides >> 1).tolist()
+        side_pairs = (sides >> 1).tolist()
         slots = (sides & 1).tolist()
         out = handed[sides]
+        stashed = []
         for b0, b1, b2 in zip(bounds[0:-1:2], bounds[1::2], bounds[2::2]):
             # Every side's mask from the pre-round membership, OR-ed as
             # 64-bit words (store rows are whole words).
@@ -1541,21 +1618,31 @@ class ChitChatRouter(Router):
                 if lo == hi:
                     continue
                 idx = ra[lo:hi]
-                block = store._decay_block(
-                    sW[idx], sD[idx], members[idx], sL[idx],
-                    masks[lo - b0:hi - b0], now, beta,
+                weights, last, present, increments, settled = (
+                    store._decay_block(
+                        sW[idx], sD[idx], members[idx], sL[idx],
+                        masks[lo - b0:hi - b0], now, beta,
+                    )
                 )
-                sW[idx], sL[idx], members[idx] = block[:3]
+                sW[idx], sL[idx], members[idx] = weights, last, present
+                sV[idx] += increments
+                versions = sV[idx]
                 if hi == b1:
-                    store._write_decayed(act_rows[idx], now, *block)
+                    store._write_decayed(
+                        act_rows[idx], now, weights, last, present,
+                        versions, settled,
+                    )
                 else:
-                    for pair, slot, side in zip(
-                        pairs[lo:hi], slots[lo:hi], zip(*block)
-                    ):
-                        plans[pair][slot] = side
+                    stashed.extend(zip(
+                        side_pairs[lo:hi], slots[lo:hi], zip(
+                            weights, last, present, versions,
+                            settled.tolist(),
+                        ),
+                    ))
                 h = out[lo:hi]
                 if (h >= 0).any():
-                    side_rows[h[h >= 0]] = block[0][h >= 0]
+                    side_rows[h[h >= 0]] = weights[h >= 0]
+        return keep, stashed
 
     def on_contact_start(self, link: Link) -> None:
         self.prepare_contact(link)
@@ -1751,6 +1838,14 @@ class ChitChatRouter(Router):
         fresh budget it should.
         """
         self._retry_counts.pop(message.uuid, None)
+
+    def on_node_subscribed(self, node_id: int, keywords: List[str]) -> None:
+        """A subscription adds direct cells, so the table's direct
+        cells keep equalling the node's subscriptions."""
+        table = self.table(node_id)
+        now = self.world.now
+        for keyword in keywords:
+            table.add_direct(keyword, now)
 
     def on_node_wiped(self, node_id: int) -> None:
         """Churn wipe: protocol state must restart from scratch.

@@ -59,6 +59,7 @@ from repro.network.world import World
 from repro.routing import chitchat
 from repro.routing.base import Router
 from repro.routing.chitchat import ChitChatRouter, InterestTable
+from repro.schemes import catalog
 from repro.sim.engine import Engine
 from repro.sim.rng import RandomStreams
 from repro.trace.recorder import TraceRecorder
@@ -340,16 +341,163 @@ def test_batched_tick_matches_per_pair_tick(case, tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# Honouring the contact-hook mask vs a router asking for every pair
+# ----------------------------------------------------------------------
+@st.composite
+def sparse_scenarios(draw):
+    """A small run where most encounters have nothing to send, with or
+    without faults, under the incentive layer or plain ChitChat."""
+    side = draw(st.sampled_from((200.0, 300.0, 500.0)))
+    faulted = draw(st.booleans())
+    config = ScenarioConfig.tiny(
+        n_nodes=draw(st.integers(min_value=8, max_value=24)),
+        area=(side, side),
+        duration=draw(st.sampled_from((600.0, 900.0))),
+        message_interval=draw(st.sampled_from((60.0, 300.0, 900.0))),
+        ttl=draw(st.sampled_from((120.0, 600.0))),
+        faults=FaultConfig(
+            loss_probability=0.2, mean_uptime=400.0, mean_downtime=100.0,
+            churn_policy="wipe",
+        ) if faulted else None,
+        max_retransmissions=1 if faulted else 0,
+        selfish_fraction=0.2 if faulted else 0.0,
+        malicious_fraction=0.1 if faulted else 0.0,
+    )
+    scheme = draw(st.sampled_from(("incentive", "chitchat")))
+    return config, scheme, draw(st.integers(min_value=1, max_value=99))
+
+
+def _assert_same_run(result, reference):
+    """Equal summaries, interest stores (``T_l`` on present cells),
+    versions, records, books and balances.
+
+    The per-pair tick creates a tick's tables after the earlier pairs'
+    exchanges have interned their messages' keywords, the planned tick
+    before them, so the same keyword may sit in another column: the
+    stores are compared keyword by keyword.
+    """
+    assert result.summary() == reference.summary()
+    layered = hasattr(result.router, "substrate")
+    routers = (
+        (result.router.substrate, reference.router.substrate) if layered
+        else (result.router, reference.router)
+    )
+    store, other = (router._store for router in routers)
+    assert {n: t._row for n, t in routers[0]._tables.items()} == {
+        n: t._row for n, t in routers[1]._tables.items()
+    }
+    index, other_index = (router.keyword_index for router in routers)
+    assert len(index) == len(other_index)
+    columns = [other_index.get(index.name_of(i)) for i in range(len(index))]
+    held = len(index)
+
+    def padded(array):
+        return np.pad(array, ((0, 0), (0, max(0, held - array.shape[1]))))
+
+    for name in ("_w", "_d", "_p", "_l"):
+        mine, theirs = getattr(store, name), getattr(other, name)
+        if name == "_l":
+            mine, theirs = mine * store._p, theirs * other._p
+        mine, theirs = padded(mine), padded(theirs)
+        assert np.array_equal(mine[:, :held], theirs[:, columns]), name
+        assert not mine[:, held:].any() and not theirs[:, held:].any(), name
+    for name in ("_versions", "_stamped_versions"):
+        assert np.array_equal(getattr(store, name), getattr(other, name)), name
+    assert np.array_equal(store._stamped_at, other._stamped_at, equal_nan=True)
+    if layered:
+        books, other_books = (
+            router.reputation._books for router in (
+                result.router, reference.router
+            )
+        )
+        assert books.keys() == other_books.keys()
+        for node, book in books.items():
+            assert np.array_equal(book._subjects, other_books[node]._subjects)
+            assert np.array_equal(book._values, other_books[node]._values)
+        assert result.router.ledger.balances() == (
+            reference.router.ledger.balances()
+        )
+
+
+@given(sparse_scenarios())
+@settings(max_examples=30, deadline=None)
+def test_mask_matches_every_hook(scenario):
+    """Skipping the hooks the mask leaves out (and writing their state
+    at plan time) gives the per-pair router's results, where every pair
+    takes its hook and every decay, growth and gossip runs per pair."""
+    config, scheme, seed = scenario
+    hooks = []
+    open_contact = World._open_contact
+
+    def counting(world, pair, hook=True):
+        hooks.append(hook)
+        return open_contact(world, pair, hook)
+
+    with mock.patch.object(World, "_open_contact", counting):
+        result = run_scenario(config, scheme, seed=seed)
+    if not all(hooks):
+        event("a pair skips its hook")
+    with mock.patch.object(
+        protocol, "ChitChatRouter", _PerPairChitChat
+    ), mock.patch.object(catalog, "ChitChatRouter", _PerPairChitChat):
+        reference = run_scenario(config, scheme, seed=seed)
+    substrate = getattr(reference.router, "substrate", reference.router)
+    assert isinstance(substrate, _PerPairChitChat)
+    _assert_same_run(result, reference)
+
+
+def test_unplanned_exchange_after_skipping_tick_merges():
+    """A tick whose pairs all skip their hook writes its gossip at plan
+    time and leaves no plan behind, so a later unplanned exchange of one
+    of its pairs merges again as a one-pair round zero."""
+    params = IncentiveParams()
+    router = IncentiveLayer(ChitChatRouter(), params=params)
+    world = World(
+        Engine(), [Node(i, []) for i in range(4)], router,
+        streams=RandomStreams(7),
+    )
+    books = {
+        0: {1: 1.0, 2: 2.0, 3: 3.0}, 1: {0: 1.5, 2: 4.0},
+        2: {1: 2.5, 3: 0.5}, 3: {0: 1.0, 2: 1.0},
+    }
+    system = router.reputation
+    reference = _ReferenceBooks(
+        list(books), params.alpha, params.default_rating,
+    )
+    for node, scores in books.items():
+        book = system.book(node)
+        book._subjects = np.array(list(scores), dtype=np.int64)
+        book._values = np.array(list(scores.values()), dtype=np.float64)
+        reference.scores[node] = dict(scores)
+    tick = [(0, 1), (2, 3), (1, 2), (0, 3)]
+    assert not router.prepare_contact_batch(tick).any()
+    assert system._planned == {}
+    for a, b in tick:
+        reference.exchange(a, b)
+    for node in books:
+        _assert_book(system, reference, node)
+    system.exchange(1, 2)
+    reference.exchange(1, 2)
+    for node in books:
+        _assert_book(system, reference, node)
+
+
+# ----------------------------------------------------------------------
 # Array planner vs the per-side loop
 # ----------------------------------------------------------------------
 def _reference_plan(router, pairs):
     """The per-side planning loop the array planner replaced.
 
-    Runs the up tick's plan on ``router`` the way it ran before: tables
-    created in first-appearance order, every decay side given its round
-    in per-pair order, each round run on scratch rows (first sides
-    through ``InterestStore.batch_decay``, the rest stashed in
-    ``_planned``).  Returns ``(rounds, stashed, side_rows)``: per side
+    Runs the up tick's plan on ``router`` side by side: tables created
+    in first-appearance order, every decay side given its round in
+    per-pair order, each round run on scratch rows (sides written at
+    plan time through ``InterestStore.batch_decay``, the rest stashed in
+    ``_planned``).  A side is stashed when its node is in the read set
+    (an endpoint of a pair with a non-empty sender buffer, or a
+    tick-start open peer of a node with a non-empty buffer) and it is
+    not the node's first side or an open peer's first pair comes
+    earlier.  ``_planned`` keeps the busy pairs and the pairs holding a
+    stashed side.  Returns ``(rounds, stashed, side_rows)``: per side
     ``(pair, slot)`` of a node not fully stamped at tick start, its
     round and whether it was stashed; and the selection rows.
     """
@@ -373,6 +521,12 @@ def _reference_plan(router, pairs):
             if n in busy:
                 need.setdefault(k, 2 * len(need))
     side_rows = store._w[[tables[n]._row for k in need for n in pairs[k]]]
+    read = {n for k in need for n in pairs[k]}
+    for n in first:
+        for link in router.world.open_links(n):
+            if link.a + link.b - n in busy:
+                read.add(n)
+    kept = {pairs[k] for k in need}
     nodes = list(first)
     rows = np.array([tables[n]._row for n in nodes], dtype=np.intp)
     P, L = store._p[rows], store._l[rows]
@@ -386,10 +540,14 @@ def _reference_plan(router, pairs):
             t._stamped = (now, t.version, t._members_version)
     rounds, stashed = {}, {}
     if not active:
+        for pair in pairs:
+            if pair not in kept:
+                del planned[pair]
         return rounds, stashed, side_rows
     n_active = len(active)
     act_rows = rows[live]
     sW, sD, sL = store._w[act_rows], store._d[act_rows], L[live]
+    sV = store._versions[act_rows]
     transient = P[live] & ~sD
     wmin = np.where(transient, sW, np.inf).min(axis=1)
     lmin = np.where(transient, sL, np.inf).min(axis=1)
@@ -427,12 +585,15 @@ def _reference_plan(router, pairs):
             s = seen[i] = seen[i] + 1
             stash = s > 1
             peers = [pair[1 - slot]]
-            if not stash:
+            if s == 1:
                 for link in router.world.open_links(n):
                     peer = link.b if link.a == n else link.a
                     peers.append(peer)
                     if first.get(peer, k) < k:
                         stash = True
+            stash = stash and n in read
+            if stash:
+                kept.add(pair)
             for peer in peers:
                 m = member(peer)
                 sources[i].append(m)
@@ -468,6 +629,7 @@ def _reference_plan(router, pairs):
             sW[idx], sL[idx], members[idx] = store.batch_decay(
                 act_rows[idx], masks[:split], now, beta=router.beta
             )
+            sV[idx] = store._versions[act_rows[idx]]
         if stash_sides:
             idx = [side[0] for side in stash_sides]
             block = store._decay_block(
@@ -475,10 +637,17 @@ def _reference_plan(router, pairs):
                 now, router.beta,
             )
             sW[idx], sL[idx], members[idx] = block[:3]
-            for (_, _, pair, slot), side in zip(stash_sides, zip(*block)):
-                planned[pair][slot] = side
+            sV[idx] += block[3]
+            for j, (_, _, pair, slot) in enumerate(stash_sides):
+                planned[pair][slot] = (
+                    block[0][j], block[1][j], block[2][j],
+                    sV[idx[j]].copy(), bool(block[4][j]),
+                )
         if handed:
             side_rows[handed] = sW[outputs]
+    for pair in pairs:
+        if pair not in kept:
+            del planned[pair]
     return rounds, stashed, side_rows
 
 
@@ -630,7 +799,7 @@ def test_array_planner_matches_per_side_loop(scenario):
     with mock.patch.object(chitchat, "_rounds", solved), mock.patch.object(
         ChitChatRouter, "_select_sides", selecting
     ):
-        batched.prepare_contact_batch(tick)
+        keep = batched.prepare_contact_batch(tick)
     rounds, stashed, side_rows = _reference_plan(reference, tick)
     ordinal = {}
     for (pair, slot) in rounds:
@@ -639,13 +808,19 @@ def test_array_planner_matches_per_side_loop(scenario):
             event("a may-prune peer delays a side")
         if stashed[pair, slot] and not ordinal[pair[slot]]:
             event("an open peer stashes a first side")
+        if ordinal[pair[slot]] and not stashed[pair, slot]:
+            event("an unread node's later side is written at plan time")
+    if not keep.all():
+        event("a pair skips its hook")
     assert captured.get("rounds", np.empty(0)).tolist() == list(
         rounds.values()
     )
     assert {
-        key for key in rounds if batched._planned[key[0]][key[1]] is not None
+        key for key in rounds
+        if batched._planned.get(key[0], (None, None))[key[1]] is not None
     } == {key for key, stash in stashed.items() if stash}
     assert batched._planned.keys() == reference._planned.keys()
+    assert keep.tolist() == [pair in reference._planned for pair in tick]
     for pair, sides in reference._planned.items():
         assert all(map(_same_side, batched._planned[pair], sides)), pair
     if "side_rows" in captured:
@@ -911,10 +1086,19 @@ def _selection_run(router, nodes, messages, seen, start, tick, seeds):
 @settings(max_examples=200, deadline=None)
 def test_selection_kernel_matches_per_message_loop(scenario):
     """Batched and one-side kernels offer what the per-message loop
-    offers, side by side, and leave equal memo entries after each call."""
+    offers, side by side, and leave equal memo entries after each call.
+    The batched tick calls only the pairs it asks for, and the loop
+    offers nothing on the pairs it skips."""
     reference = _selection_run(_LoggedReference(), *scenario)
     assert _selection_run(_LoggedOneSide(), *scenario) == reference
-    assert _selection_run(_LoggedBatched(), *scenario) == reference
+    batched = _selection_run(_LoggedBatched(), *scenario)
+    called = {side for side, *_ in batched}
+    if len(called) < len(reference):
+        event("the tick skips a pair")
+    assert [entry for entry in reference if entry[0] in called] == batched
+    assert not any(
+        offers for side, offers, *_ in reference if side not in called
+    )
 
 
 @pytest.mark.parametrize("change", ("seen", "buffer"))

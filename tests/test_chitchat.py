@@ -252,7 +252,7 @@ def classify_runs(draw):
         st.tuples(st.just("down"), ticks),
         st.tuples(st.just("wait"), st.sampled_from((1.0, 60.0, 900.0))),
         st.tuples(st.just("wipe"), nodes),
-        st.tuples(st.just("subscribe"), nodes, keywords),
+        st.tuples(st.just("subscribe"), nodes, keywords, st.booleans()),
         st.tuples(st.just("enrich"), st.integers(0, 2), keywords),
     ), max_size=16))
     return interests, ops
@@ -305,10 +305,49 @@ class TestClassifyReadsSubscriptions:
             elif kind == "wipe":
                 world.on_node_crashed(op[1], wipe_state=True)
             elif kind == "subscribe":
-                operators.subscribe(op[1], [op[2]])
+                if op[3]:
+                    operators.subscribe(op[1], [op[2]])
+                else:
+                    world.subscribe(op[1], [op[2]])
             else:
                 messages[op[1]].annotate(op[2], 1, world.now)
             check()
+
+
+class TestWorldSubscribeReachesTheRouter:
+    """``World.subscribe`` is the one subscription path: the router's
+    direct cells follow it, so a new destination is offered what it now
+    subscribes to."""
+
+    def test_subscribed_node_is_offered_the_message(self):
+        router = ChitChatRouter()
+        world = make_world({0: [], 1: [], 2: []}, router)
+        for node in range(3):
+            router.table(node)
+        world.subscribe(2, ["fire"])
+        message = make_message(
+            source=0, size=100, keywords=("fire",), content=("fire",),
+        )
+        world.inject_message(message)
+        assert world.metrics.record_for(message.uuid).intended == (
+            frozenset({2})
+        )
+        assert router.classify(2, message) == "destination"
+        assert router.table(2).is_direct("fire")
+        assert [
+            (m.uuid, role) for m, role in router.select_messages(0, 2)
+        ] == [(message.uuid, "destination")]
+        assert router.select_messages(0, 1) == []
+
+    def test_operators_subscribe_adds_one_direct_cell(self):
+        router = ChitChatRouter()
+        world = make_world({0: ["flood"], 1: []}, router)
+        table = router.table(1)
+        version = table.version
+        Operators(router).subscribe(1, ["fire"])
+        assert world.node(1).interests == frozenset({"fire"})
+        assert table.is_direct("fire") and table.weight("fire") == 0.5
+        assert table.version == version + 1
 
 
 class TestRouterEndToEnd:

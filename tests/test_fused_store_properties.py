@@ -7,7 +7,8 @@ Two model-based equivalences back the tick-batched router state
   :class:`~repro.routing.chitchat.InterestStore` through its batched
   operations, and to a second store one
   :class:`~repro.routing.chitchat.InterestTable` row at a time, produce
-  **bit-identical** weights, direct flags and membership.  Every store
+  **bit-identical** weights, direct flags and membership, and the same
+  version, member-version and fully-stamped record arrays.  Every store
   keeps the invariants the batched kernels rely on after every
   operation, and a third store running reference kernels that rely on
   none of them holds identical arrays and versions throughout.
@@ -107,12 +108,11 @@ def _reference_decay_block(W, D, P, L, connected, now, beta, prune_below=1e-3):
     prune &= ~D
     np.copyto(new_w, W, where=~stale)
     new_w[prune] = 0.0
-    divided = stale.any(axis=1).tolist()
+    increments = np.stack(
+        (stale.any(axis=1), prune.any(axis=1)), axis=1
+    ).astype(np.int64)
     stale ^= prune
-    return (
-        new_w, L, P & ~prune, divided, prune.any(axis=1).tolist(),
-        (~stale.any(axis=1)).tolist(),
-    )
+    return new_w, L, P & ~prune, increments, ~stale.any(axis=1)
 
 
 def _reference_grow_side(self, rows, W, D, P, peer_w, peer_d, eff, now,
@@ -150,6 +150,17 @@ class _ReferenceKernelStore(InterestStore):
 
     _decay_block = staticmethod(_reference_decay_block)
     _grow_side = _reference_grow_side
+
+
+def _assert_same_bookkeeping(store, other, what):
+    """Equal version, member-version and fully-stamped record arrays."""
+    for name in ("_versions", "_stamped_versions"):
+        assert np.array_equal(
+            getattr(store, name), getattr(other, name)
+        ), f"{name} diverged from {what}"
+    assert np.array_equal(
+        store._stamped_at, other._stamped_at, equal_nan=True
+    ), f"_stamped_at diverged from {what}"
 
 
 def _table_state(table):
@@ -192,25 +203,17 @@ class TestInterestStoreEquivalence:
                     reference[node].decay(
                         now, set(connected[node]), beta=BETA
                     )
-                live = [
-                    node for node in nodes
-                    if fused[node].present_ids().size > 0
-                ]
-                if live:
-                    mask = np.zeros(
-                        (len(live), store.columns), dtype=bool
-                    )
-                    for k, node in enumerate(live):
-                        for kw in connected[node]:
-                            kid = fused_index.get(kw)
-                            if kid is not None and kid < store.columns:
-                                mask[k, kid] = True
-                    rows = np.array(
-                        [fused[node]._row for node in live],
-                        dtype=np.intp,
-                    )
-                    for target in batched:
-                        target.batch_decay(rows, mask, now, beta=BETA)
+                mask = np.zeros((len(nodes), store.columns), dtype=bool)
+                for k, node in enumerate(nodes):
+                    for kw in connected[node]:
+                        kid = fused_index.get(kw)
+                        if kid is not None and kid < store.columns:
+                            mask[k, kid] = True
+                rows = np.array(
+                    [fused[node]._row for node in nodes], dtype=np.intp,
+                )
+                for target in batched:
+                    target.batch_decay(rows, mask, now, beta=BETA)
             elif kind == "grow":
                 _, _, pairs, elapsed = op
                 for (a, b), duration in zip(pairs, elapsed):
@@ -268,13 +271,12 @@ class TestInterestStoreEquivalence:
                 assert np.array_equal(
                     getattr(store, name), getattr(ref_kernels, name)
                 ), f"{name} diverged from the reference kernels after {kind}"
-            assert [
-                (t.version, t._members_version, t._stamped)
-                for t in store._tables
-            ] == [
-                (t.version, t._members_version, t._stamped)
-                for t in ref_kernels._tables
-            ], f"versions diverged from the reference kernels after {kind}"
+            _assert_same_bookkeeping(
+                store, reference_store, f"the per-table path after {kind}"
+            )
+            _assert_same_bookkeeping(
+                store, ref_kernels, f"the reference kernels after {kind}"
+            )
 
 
 # ----------------------------------------------------------------------

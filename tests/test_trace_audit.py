@@ -8,6 +8,7 @@ import pytest
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.faults import FaultConfig
+from repro.network.world import World
 from repro.trace.audit import replay_trace
 from repro.trace.recorder import JsonlTraceRecorder
 from repro.trace.schema import SCHEMA_VERSION, iter_trace
@@ -290,6 +291,33 @@ class TestTracingChangesNothing:
         assert traced.summary() == untraced.summary()
         assert traced.metrics.mdr_by_priority() == \
             untraced.metrics.mdr_by_priority()
+
+    @pytest.mark.parametrize("scheme", ["incentive", "chitchat"])
+    def test_quiet_pairs_skipped_only_when_untraced(
+        self, tmp_path, monkeypatch, scheme
+    ):
+        """Few messages, short TTL: most encounters have nothing to
+        send.  An untraced run skips their contact hooks; a traced one
+        calls every hook (its gossip records keep the trace in
+        admission order) and still sums up alike."""
+        hooks = []
+        open_contact = World._open_contact
+
+        def counting(world, pair, hook=True):
+            hooks.append(hook)
+            return open_contact(world, pair, hook)
+
+        monkeypatch.setattr(World, "_open_contact", counting)
+        config = ScenarioConfig.tiny(message_interval=600.0, ttl=300.0)
+        untraced = run_scenario(config, scheme, seed=7)
+        untraced_hooks, hooks[:] = list(hooks), []
+        path = tmp_path / "quiet.jsonl"
+        traced = run_scenario(config, scheme, seed=7, trace_path=str(path))
+        assert traced.summary() == untraced.summary()
+        assert len(hooks) == len(untraced_hooks)
+        assert sum(untraced_hooks) < len(untraced_hooks) / 2
+        assert all(hooks) == (scheme == "incentive")
+        assert replay_trace(iter_trace(path)).ok
 
     def test_traced_run_under_faults_identical(self, tmp_path):
         faults = FaultConfig(loss_probability=0.15, mean_uptime=600.0,

@@ -28,7 +28,7 @@ class _RecordingEpidemic(EpidemicRouter):
 
     def prepare_contact_batch(self, pairs):
         self.calls.append(("prepare", self.world.now, list(pairs)))
-        super().prepare_contact_batch(pairs)
+        return super().prepare_contact_batch(pairs)
 
     def on_contact_start(self, link):
         self.calls.append(("start", self.world.now, link.pair))
